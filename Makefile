@@ -12,21 +12,21 @@ test:
 # and §16). Fails on any error-severity finding not covered by an
 # audited `(* lint: allow <rule> <reason> *)` pragma.
 lint:
-	dune exec bin/repro_lint.exe -- lib bin bench test
+	dune exec bin/repro_lint.exe -- lib bin bench test perfbench
 
 # Incremental pass over the files git reports changed vs HEAD; the
 # module graph forces a full run whenever a changed interface or a
 # referenced unit could shift cross-module verdicts elsewhere.
 lint-fast:
-	dune exec bin/repro_lint.exe -- --changed lib bin bench test
+	dune exec bin/repro_lint.exe -- --changed lib bin bench test perfbench
 
 # Same pass, machine-readable report for CI artifacts.
 lint-json:
-	dune exec bin/repro_lint.exe -- --json lib bin bench test > LINT.json
+	dune exec bin/repro_lint.exe -- --json lib bin bench test perfbench > LINT.json
 
 # SARIF 2.1.0 interchange document (code-scanning upload format).
 lint-sarif:
-	dune exec bin/repro_lint.exe -- --sarif LINT.sarif lib bin bench test
+	dune exec bin/repro_lint.exe -- --sarif LINT.sarif lib bin bench test perfbench
 
 # Seeded fault-schedule property suite only (transport + fault injection).
 faults:
@@ -62,7 +62,7 @@ aux:
 	AUX_SEEDS=100 dune exec test/test_main.exe -- test aux
 
 # Join-strategy differential suite at full depth: 100 seeds per
-# algorithm proving pairwise, probe and trie execution produce
+# algorithm proving pairwise and probe execution produce
 # bit-identical views, replays and verdicts (including under crash and
 # outage schedules), and that the default probe path never degrades to
 # an unindexed scan. `dune runtest` runs the same suite at 5 seeds.

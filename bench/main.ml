@@ -88,35 +88,6 @@ let micro_tests () =
                 ~probe:(fun ~col ~value ->
                   Repro_source.Base_table.probe tbl ~col ~value))))
   in
-  let bench_trie_step =
-    (* the same leg as a sorted-intersection over a prebuilt trie *)
-    let tbl = Repro_source.Base_table.create ~source:0 ~view:view3 rels.(0) in
-    ignore (Repro_source.Base_table.trie tbl ~col:2);
-    Test.make ~name:"sweep step via trie join (1k tuples)"
-      (Staged.stage (fun () ->
-           let p = Partial.of_source_delta view3 1 delta in
-           ignore
-             (Trie_join.extend view3 p ~source:0
-                ~trie:(fun ~col -> Repro_source.Base_table.trie tbl ~col))))
-  in
-  let bench_trie_chain =
-    (* the full multiway delta join, one intersection per junction *)
-    let tbls =
-      Array.init 3 (fun i ->
-          Repro_source.Base_table.create ~source:i ~view:view3 rels.(i))
-    in
-    Array.iteri
-      (fun i tbl ->
-        List.iter
-          (fun col -> ignore (Repro_source.Base_table.trie tbl ~col))
-          (Repro_source.Base_table.join_columns view3 i))
-      tbls;
-    Test.make ~name:"trie chain eval (dR1, 3 x 1k tuples)"
-      (Staged.stage (fun () ->
-           ignore
-             (Trie_join.eval_chain view3 ~pin:(1, delta)
-                ~trie:(fun j ~col -> Repro_source.Base_table.trie tbls.(j) ~col))))
-  in
   let bench_sim_round_batched =
     (* tight gaps so the queue actually builds up and sweeps amortize *)
     Test.make ~name:"simulated batched-SWEEP run (3 sources, 10 updates)"
@@ -159,10 +130,9 @@ let micro_tests () =
                 "SELECT R2.D, R3.F FROM R1(A int, B int), R2(C int, D int), \
                  R3(E int, F int) WHERE R1.B = R2.C AND R2.D = R3.E")))
   in
-  [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_trie_step;
-    bench_trie_chain; bench_compensate; bench_full_eval; bench_delta_apply;
-    bench_queue_churn; bench_parser; bench_sim_round;
-    bench_sim_round_batched ]
+  [ bench_hash_join; bench_sweep_step; bench_indexed_probe; bench_compensate;
+    bench_full_eval; bench_delta_apply; bench_queue_churn; bench_parser;
+    bench_sim_round; bench_sim_round_batched ]
 
 (* Run the micro-benchmarks and return (name, ns-per-run) estimates;
    tests whose OLS fit fails are dropped. *)

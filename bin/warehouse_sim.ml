@@ -171,7 +171,7 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
         match Repro_relational.Join_strategy.of_string s with
         | Some j -> j
         | None ->
-            Printf.eprintf "unknown --join %S (pairwise|probe|trie)\n" s;
+            Printf.eprintf "unknown --join %S (pairwise|probe)\n" s;
             exit 2)
   in
   let deadline =
@@ -211,11 +211,8 @@ let run_cmd algorithm preset n updates gap p_insert txn_size placement init
     match Experiment.algorithm_by_name ~batch_max algorithm with
     | Some a -> a
     | None ->
-        Printf.eprintf
-          "unknown algorithm %S \
-           (sweep|sweep-batched|nested-sweep|strobe|c-strobe|eca|naive|\
-           recompute)\n"
-          algorithm;
+        Printf.eprintf "unknown algorithm %S (%s)\n" algorithm
+          (String.concat "|" Experiment.algorithm_names);
         exit 2
   in
   if algorithm = "eca" && scenario.Scenario.topology <> Scenario.Centralized
@@ -258,8 +255,9 @@ let algorithm =
     value & opt string "sweep"
     & info [ "a"; "algorithm" ] ~docv:"ALGO"
         ~doc:
-          "Maintenance algorithm: sweep, sweep-batched, nested-sweep, \
-           strobe, c-strobe, eca, naive or recompute.")
+          ("Maintenance algorithm: "
+          ^ String.concat ", " Experiment.algorithm_names
+          ^ " ($(b,eca) requires $(b,--centralized))."))
 
 let preset =
   Arg.(
@@ -409,7 +407,7 @@ let aux =
     value & opt (some string) None
     & info [ "aux" ] ~docv:"MODE"
         ~doc:
-          "Self-maintenance auxiliary projections (DESIGN.md \\u{00A7}14): \
+          "Self-maintenance auxiliary projections (DESIGN.md §14): \
            $(b,off), $(b,keys-only) (keys + join columns) or $(b,full) \
            (every referenced column — sweep legs answered locally from the \
            aux store, no source queries). The self-maint preset sets \
@@ -420,11 +418,10 @@ let join =
     value & opt (some string) None
     & info [ "join" ] ~docv:"STRATEGY"
         ~doc:
-          "Delta-join execution strategy (DESIGN.md \\u{00A7}15): $(b,probe) \
-           (default — persistent hash indexes on every join column), \
-           $(b,trie) (sort-order tries with leapfrog intersections) or \
-           $(b,pairwise) (the legacy scan/hash-join path). All three \
-           produce bit-identical views; only execution cost differs.")
+          "Delta-join execution strategy (DESIGN.md §15): $(b,probe) \
+           (default — persistent hash indexes on every join column) or \
+           $(b,pairwise) (the legacy scan/hash-join path). Both produce \
+           bit-identical views; only execution cost differs.")
 
 let no_check = Arg.(value & flag & info [ "no-check" ] ~doc:"Skip the consistency checker (faster for huge runs).")
 let show_trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full simulation trace.")

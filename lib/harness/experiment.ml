@@ -34,43 +34,48 @@ type result = {
   sessions : Checker.session_report option;
 }
 
-let algorithm_by_name ?(batch_max = 16) = function
-  | "sweep" -> Some (module Sweep : Algorithm.S)
-  | "sweep-parallel" -> Some (module Sweep_parallel : Algorithm.S)
-  | "sweep-pipelined" -> Some (module Sweep_pipelined : Algorithm.S)
-  | "sweep-global" -> Some (module Sweep_global : Algorithm.S)
-  | "sweep-batched" ->
-      Some
-        (if batch_max = 16 then (module Sweep_batched : Algorithm.S)
-         else Sweep_batched.with_batch_max batch_max)
-  | "nested-sweep" -> Some (module Nested_sweep : Algorithm.S)
-  | "strobe" -> Some (module Strobe : Algorithm.S)
-  | "c-strobe" -> Some (module C_strobe : Algorithm.S)
-  | "eca" -> Some (module Eca : Algorithm.S)
-  | "naive" -> Some (module Naive : Algorithm.S)
-  | "recompute" -> Some (module Recompute : Algorithm.S)
-  | _ -> None
+(* Every algorithm the harness can run, in the order [algorithms_for]
+   lines them up. ECA needs the centralized site; Global SWEEP is SWEEP
+   on streams without global transactions, so it runs only by name. The
+   builder takes the scenario's batch cap, which only sweep-batched
+   reads. *)
+type availability = Everywhere | Centralized_only | By_name_only
+
+let registry : (string * availability * (int -> (module Algorithm.S))) list =
+  let fixed m (_ : int) = m in
+  [ ("sweep", Everywhere, fixed (module Sweep : Algorithm.S));
+    ("sweep-parallel", Everywhere, fixed (module Sweep_parallel : Algorithm.S));
+    ( "sweep-pipelined",
+      Everywhere,
+      fixed (module Sweep_pipelined : Algorithm.S) );
+    ("sweep-batched", Everywhere, Sweep_batched.with_batch_max);
+    ("sweep-global", By_name_only, fixed (module Sweep_global : Algorithm.S));
+    ("nested-sweep", Everywhere, fixed (module Nested_sweep : Algorithm.S));
+    ("strobe", Everywhere, fixed (module Strobe : Algorithm.S));
+    ("c-strobe", Everywhere, fixed (module C_strobe : Algorithm.S));
+    ("naive", Everywhere, fixed (module Naive : Algorithm.S));
+    ("recompute", Everywhere, fixed (module Recompute : Algorithm.S));
+    ("eca", Centralized_only, fixed (module Eca : Algorithm.S)) ]
+
+let algorithm_names = List.map (fun (name, _, _) -> name) registry
+
+let algorithm_by_name ?(batch_max = 16) name =
+  List.find_map
+    (fun (n, _, build) -> if n = name then Some (build batch_max) else None)
+    registry
 
 let algorithms_for (s : Scenario.t) =
-  let base =
-    [ ("sweep", (module Sweep : Algorithm.S));
-      ("sweep-parallel", (module Sweep_parallel : Algorithm.S));
-      ("sweep-pipelined", (module Sweep_pipelined : Algorithm.S));
-      ( "sweep-batched",
-        (if s.batch_max = 16 then (module Sweep_batched : Algorithm.S)
-         else Sweep_batched.with_batch_max s.batch_max) );
-      ("nested-sweep", (module Nested_sweep : Algorithm.S));
-      ("strobe", (module Strobe : Algorithm.S));
-      ("c-strobe", (module C_strobe : Algorithm.S));
-      ("naive", (module Naive : Algorithm.S));
-      ("recompute", (module Recompute : Algorithm.S)) ]
-  in
-  match s.topology with
-  | Scenario.Distributed -> base
-  | Scenario.Centralized -> base @ [ ("eca", (module Eca : Algorithm.S)) ]
+  List.filter_map
+    (fun (name, availability, build) ->
+      match (availability, s.topology) with
+      | Everywhere, _ | Centralized_only, Scenario.Centralized ->
+          Some (name, build s.batch_max)
+      | (Centralized_only | By_name_only), _ -> None)
+    registry
 
 let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
-    ?max_events (scenario : Scenario.t) (algorithm : (module Algorithm.S)) =
+    ?max_events ?(on_node = ignore) (scenario : Scenario.t)
+    (algorithm : (module Algorithm.S)) =
   let wall_start = wall_clock () in
   let strategy = scenario.join_strategy in
   let engine = Engine.create ~seed:scenario.seed () in
@@ -323,6 +328,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
       ~obs ()
   in
   node := Some warehouse;
+  on_node warehouse;
   (* probe = retransmit the parked query through the suspended sender;
      the source's answer (routed to Breaker.record_success by the node)
      is the heal evidence that closes the breaker *)

@@ -82,24 +82,30 @@ val check_scripted : scripted_outcome -> Checker.result
     Recording never consumes randomness or schedules events, so enabling
     it cannot perturb the simulation.
     [max_events] bounds the simulation; a run cut off by it has
-    [completed = false] and skips the checker. *)
+    [completed = false] and skips the checker.
+    [on_node] is called once with the warehouse node, after wiring and
+    before the first event — the place to attach install listeners
+    (they carry over across warehouse crash recovery). *)
 val run :
   ?check:bool ->
   ?trace:Trace.t ->
   ?obs:Repro_observability.Obs.t ->
   ?max_events:int ->
+  ?on_node:(Node.t -> unit) ->
   Scenario.t ->
   (module Algorithm.S) ->
   result
 
-(** All algorithms applicable to a scenario (ECA only in the centralized
-    topology; every algorithm is available there). *)
+(** Every registered algorithm name, in registry order. *)
+val algorithm_names : string list
+
+(** The algorithms a scenario runs by default, in registry order: all
+    but ["sweep-global"] (same as SWEEP without global transactions),
+    and ["eca"] only in the centralized topology. *)
 val algorithms_for : Scenario.t -> (string * (module Algorithm.S)) list
 
-(** Look an algorithm up by name (["sweep"], ["sweep-parallel"],
-    ["sweep-batched"], ["nested-sweep"], ["strobe"], ["c-strobe"],
-    ["eca"], ["naive"], ["recompute"]). [batch_max] (default 16)
-    parameterizes ["sweep-batched"] only. *)
+(** Look a registered algorithm up by name (any of {!algorithm_names}).
+    [batch_max] (default 16) parameterizes ["sweep-batched"] only. *)
 val algorithm_by_name : ?batch_max:int -> string -> (module Algorithm.S) option
 
 val pp_result : Format.formatter -> result -> unit

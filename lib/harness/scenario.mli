@@ -66,9 +66,8 @@ type t = {
           column — all sweep legs answered locally) *)
   join_strategy : Repro_relational.Join_strategy.t;
       (** delta-join execution for every leg (DESIGN.md §15): [Probe]
-          (the default — persistent hash indexes on join columns),
-          [Trie] (sort-order tries, leapfrog intersections) or
-          [Pairwise] (the legacy scan/hash-join path). All three are
+          (the default — persistent hash indexes on join columns) or
+          [Pairwise] (the legacy scan/hash-join path). Both are
           bag-identical; only execution cost differs. *)
   seed : int64;
 }

@@ -204,7 +204,7 @@ let l2 ctx (str : structure) =
                    differently across runs"
                 ~hint:
                   "sort the folded list on a canonical key before encoding \
-                   (see Sweep_global.extra_snapshot), or pragma the site if \
+                   (see Sweep_engine.snap_of_ledger), or pragma the site if \
                    order provably cannot reach the encoding"
               :: !out)
           (List.rev !sites))
@@ -432,10 +432,10 @@ module SMap = Map.Make (String)
 (* PR 2's recovery proof needs [restore ctx (snapshot t)] to behave
    identically to [t]: a mutable state field that neither function ever
    mentions is state that a crash silently drops. For a unit defining
-   both [snapshot] and [restore] (or the sweep-engine [extra_] pair),
-   every mutable record field declared in the unit must be referenced —
-   as a field access, record label or pattern label — somewhere in the
-   call closure of each of the two functions. *)
+   both [snapshot] and [restore], every mutable record field declared in
+   the unit must be referenced — as a field access, record label or
+   pattern label — somewhere in the call closure of each of the two
+   functions. *)
 let l5 ctx (str : structure) =
   (* mutable fields of record types declared here *)
   let fields = ref [] in
@@ -523,12 +523,10 @@ let l5 ctx (str : structure) =
           | None -> acc)
         !seen SSet.empty
     in
-    let have root alt = SMap.mem root !info || SMap.mem alt !info in
-    if not (have "snapshot" "extra_snapshot" && have "restore" "extra_restore")
-    then []
+    if not (SMap.mem "snapshot" !info && SMap.mem "restore" !info) then []
     else
-      let snap_labels = closure [ "snapshot"; "extra_snapshot" ] in
-      let rest_labels = closure [ "restore"; "extra_restore" ] in
+      let snap_labels = closure [ "snapshot" ] in
+      let rest_labels = closure [ "restore" ] in
       List.concat_map
         (fun (ty, field, loc) ->
           let miss side =

@@ -9,9 +9,6 @@ type t = {
   src : int;
   rel : Relation.t;
   indexes : (int * index) list;
-  mutable tries : (int * Trie_join.t) list;
-      (* lazily built sort-order tries, invalidated wholesale by [apply];
-         only the Trie strategy ever populates this cache *)
   mutable next_seq : int;
   mutable rev_log : (Message.txn_id * Delta.t) list;
   mutable scans : int;
@@ -67,7 +64,7 @@ let create ~source ?(indexes = []) ?view rel =
         (col, idx))
       (List.sort_uniq Int.compare indexes)
   in
-  { src = source; rel; indexes; tries = []; next_seq = 0; rev_log = [];
+  { src = source; rel; indexes; next_seq = 0; rev_log = [];
     scans = 0 }
 
 let source t = t.src
@@ -91,25 +88,6 @@ let probe t ~col ~value =
         t.rel;
       !acc
 
-let trie t ~col =
-  match List.assoc_opt col t.tries with
-  | Some tr -> tr
-  | None ->
-      let tr =
-        match List.assoc_opt col t.indexes with
-        | Some idx ->
-            (* build from the index: values are already grouped *)
-            Trie_join.of_rows
-              (Hashtbl.fold
-                 (fun _ bucket acc ->
-                   Hashtbl.fold (fun tup c acc -> (tup, c) :: acc) bucket acc)
-                 idx [])
-              ~col
-        | None -> Trie_join.of_relation t.rel ~col
-      in
-      t.tries <- (col, tr) :: t.tries;
-      tr
-
 let apply t delta =
   (match Relation.apply t.rel delta with
   | Ok () -> ()
@@ -122,7 +100,6 @@ let apply t delta =
     (fun (col, idx) ->
       Delta.iter (fun tup c -> index_add idx tup col c) delta)
     t.indexes;
-  t.tries <- [];
   let txn = { Message.source = t.src; seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
   t.rev_log <- (txn, Delta.copy delta) :: t.rev_log;

@@ -39,11 +39,6 @@ val probe : t -> col:int -> value:Value.t -> (Tuple.t * int) list
     tables it created into [Metrics.unindexed_scans]. *)
 val scan_count : t -> int
 
-(** [trie t ~col] — sort-order trie over the current relation keyed on
-    [col] (built from the persistent index when one exists), cached
-    until the next {!apply}. Serves the [Trie] join strategy. *)
-val trie : t -> col:int -> Trie_join.t
-
 (** The live relation (mutated by {!apply}); treat as read-only. *)
 val relation : t -> Relation.t
 

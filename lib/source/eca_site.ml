@@ -48,13 +48,6 @@ let extend_leg t partial j =
       with
       | Some answer -> answer
       | None -> fallback ())
-  | Join_strategy.Trie -> (
-      match
-        Trie_join.extend t.view partial ~source:j
-          ~trie:(fun ~col -> Base_table.trie t.tables.(j) ~col)
-      with
-      | Some answer -> answer
-      | None -> fallback ())
 
 (* Evaluate one term: a chain join over all positions where pinned
    positions contribute the pinned delta and the rest contribute the

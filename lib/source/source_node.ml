@@ -26,9 +26,9 @@ let strategy t = t.strategy
 
 let who t = Printf.sprintf "source%d" t.node_id
 
-(* One delta join leg, executed per the configured strategy. Probe and
-   trie cover every junction with at least one equality; the rare
-   cross-product junction falls back to the generic hash join. All three
+(* One delta join leg, executed per the configured strategy. Probe
+   covers every junction with at least one equality; the rare
+   cross-product junction falls back to the generic hash join. Both
    paths are bag-identical (the strategy differential suite proves it). *)
 let answer_leg t partial =
   let fallback () =
@@ -41,13 +41,6 @@ let answer_leg t partial =
       match
         Algebra.extend_with_probe t.view partial ~source:t.node_id
           ~probe:(fun ~col ~value -> Base_table.probe t.tbl ~col ~value)
-      with
-      | Some answer -> answer
-      | None -> fallback ())
-  | Join_strategy.Trie -> (
-      match
-        Trie_join.extend t.view partial ~source:t.node_id
-          ~trie:(fun ~col -> Base_table.trie t.tbl ~col)
       with
       | Some answer -> answer
       | None -> fallback ())

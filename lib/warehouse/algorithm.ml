@@ -69,45 +69,7 @@ let entry_of_snap s =
         arrived_at = Snap.to_float t }
   | _ -> invalid_arg "Algorithm.entry_of_snap: malformed entry"
 
-(* ————— degraded-mode helpers (shared by the sweep engines) ————— *)
-
-(* An update from source [i] sweeps every other source, so it is
-   eligible only while all of them have closed breakers — or can be
-   answered locally from the aux store ([local], DESIGN.md §14): a leg
-   that never leaves the warehouse does not care about breakers. *)
-let sweep_eligible ?(local = fun _ -> false) ctx (e : Update_queue.entry) =
-  let i = e.update.Message.txn.source in
-  let n = View_def.n_sources ctx.view in
-  List.for_all
-    (fun j -> ctx.source_ok j || local j)
-    (Sweep_order.order ~n ~i)
-
-(* Count queued entries currently parked behind open breakers; each is
-   counted in [stalled_updates] once (monotone arrival mark). Returns
-   (parked now, new mark). *)
-let note_parked ?(local = fun _ -> false) ctx ~stall_mark ~event =
-  let parked = ref 0 in
-  let mark = ref stall_mark in
-  List.iter
-    (fun (e : Update_queue.entry) ->
-      if not (sweep_eligible ~local ctx e) then begin
-        incr parked;
-        if e.arrival > !mark then begin
-          mark := e.arrival;
-          ctx.metrics.Metrics.stalled_updates <-
-            ctx.metrics.Metrics.stalled_updates + 1;
-          if Repro_observability.Obs.active ctx.obs then
-            Repro_observability.Obs.event ctx.obs event
-              [ ("txn",
-                 Repro_observability.Tracer.S
-                   (Format.asprintf "%a" Message.pp_txn_id
-                      e.update.Message.txn)) ]
-        end
-      end)
-    (Update_queue.entries ctx.queue);
-  (!parked, !mark)
-
-(* ————— self-maintenance helper (shared by the sweep engines) ————— *)
+(* ————— self-maintenance helper (shared by the sweep-family algorithms) ————— *)
 
 (* Try to answer the leg joining [partial] with source [target] from the
    aux store; on success count it, trace it, and return the extended

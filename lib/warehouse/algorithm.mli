@@ -98,25 +98,8 @@ val restore_packed : (module S) -> ctx -> Repro_durability.Snap.t -> packed
 val snap_of_entry : Update_queue.entry -> Repro_durability.Snap.t
 val entry_of_snap : Repro_durability.Snap.t -> Update_queue.entry
 
-(** {2 Degraded-mode helpers} — shared by the sweep-family engines. *)
-
-(** An update from source [i] sweeps every other source; with circuit
-    breakers it may start only while every leg's source is
-    [ctx.source_ok] — or locally answerable per [local] (default:
-    none). *)
-val sweep_eligible :
-  ?local:(int -> bool) -> ctx -> Update_queue.entry -> bool
-
-(** Count queued entries parked behind open breakers into
-    [metrics.stalled_updates], each once (monotone arrival mark),
-    emitting [event] per newly parked entry. Returns
-    [(parked_now, new_mark)]. [local] as in {!sweep_eligible}. *)
-val note_parked :
-  ?local:(int -> bool) ->
-  ctx -> stall_mark:int -> event:string -> int * int
-
-(** {2 Self-maintenance helper} — shared by the sweep-family engines
-    (DESIGN.md §14). *)
+(** {2 Self-maintenance helper} — shared by {!Sweep_engine}, Nested
+    SWEEP and Strobe (DESIGN.md §14). *)
 
 (** [local_answer ctx ~name ?span ~target ~partial ~overlay ()] tries to
     answer the sweep leg against [target] from [ctx.aux]

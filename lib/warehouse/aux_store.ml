@@ -246,11 +246,7 @@ let local_answer t ~target ~partial ~overlay =
     let j = target in
     match t.strategy with
     | Join_strategy.Pairwise -> Some (pairwise_answer t view j ~partial ~overlay)
-    | Join_strategy.Probe | Join_strategy.Trie -> (
-        (* the aux projections are delta-against-projection joins; the
-           hash-index probe is the right execution for both the Probe
-           and Trie strategies (a trie buys nothing over a point probe
-           here, and answers must stay bit-identical across strategies) *)
+    | Join_strategy.Probe -> (
         match
           Algebra.extend_with_probe view partial ~source:j
             ~probe:(indexed_probe t j ~overlay)

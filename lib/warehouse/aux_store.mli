@@ -49,7 +49,7 @@ val off : unit -> t
     relations. [initial.(j)] must be source [j]'s relation at warehouse
     genesis (the state [init] the initial view was computed from).
     [strategy] (default {!Join_strategy.default}) selects how
-    {!local_answer} executes its leg: [Probe]/[Trie] probe persistent
+    {!local_answer} executes its leg: [Probe] probes persistent
     hash indexes kept on every projected join column; [Pairwise] copies
     the projection and hash-joins (the pre-index execution). All
     strategies return bit-identical answers. *)

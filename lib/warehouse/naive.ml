@@ -1,21 +1,7 @@
-include Sweep_engine.Make (struct
-  let name = "naive"
-
-  (* No on-line error correction — the whole point of this baseline. *)
-  let compensate = false
-
-  (* And no self-maintenance either: the baseline measures the cost of
-     always asking the sources. *)
-  let local_answers = false
-
-  type extra = unit
-
-  let create_extra _ = ()
-
-  let on_complete ctx () view_delta entry =
-    ctx.Algorithm.install view_delta ~txns:[ entry ]
-
-  let extra_idle () = true
-  let extra_snapshot () = Repro_durability.Snap.Unit
-  let extra_restore _ _ = ()
-end)
+(* No on-line error correction — the whole point of this baseline — and
+   no self-maintenance either: it measures the cost of always asking the
+   sources. *)
+include
+  (val Sweep_engine.algorithm
+         { name = "naive"; compensate = false; local_answers = false;
+           batch_max = None; window = 1; split = false; install = Immediate })

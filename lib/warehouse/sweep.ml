@@ -1,19 +1,6 @@
-let sweep_order ~n ~i = Sweep_order.order ~n ~i
+let sweep_order = Sweep_engine.order
 
-include Sweep_engine.Make (struct
-  let name = "sweep"
-  let compensate = true
-  let local_answers = true
-
-  type extra = unit
-
-  let create_extra _ = ()
-
-  (* One install per update, immediately — complete consistency. *)
-  let on_complete ctx () view_delta entry =
-    ctx.Algorithm.install view_delta ~txns:[ entry ]
-
-  let extra_idle () = true
-  let extra_snapshot () = Repro_durability.Snap.Unit
-  let extra_restore _ _ = ()
-end)
+include
+  (val Sweep_engine.algorithm
+         { name = "sweep"; compensate = true; local_answers = true;
+           batch_max = None; window = 1; split = false; install = Immediate })

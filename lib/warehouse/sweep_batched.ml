@@ -1,410 +1,10 @@
-open Repro_relational
-open Repro_sim
-open Repro_protocol
-module Obs = Repro_observability.Obs
-module Tracer = Repro_observability.Tracer
-module Snap = Repro_durability.Snap
+let preset k =
+  { Sweep_engine.name =
+      (if k = 16 then "sweep-batched"
+       else Printf.sprintf "sweep-batched(k=%d)" k);
+    compensate = true; local_answers = true; batch_max = Some k; window = 1;
+    split = false; install = Immediate }
 
-(* Batched SWEEP: when an update reaches the head of the queue, drain up
-   to [batch_max] queued updates, coalesce them into per-source combined
-   deltas D_i (net effect via Delta.sum), and run one sweep per distinct
-   source — in ascending source order — installing the summed view delta
-   as a single transition covering the whole batch.
+include (val Sweep_engine.algorithm (preset 16))
 
-   Correctness (DESIGN.md §10): by multilinearity of the bag join,
-
-     V(R + D) − V(R) = Σ_i (R+D)_0 ⋈ … ⋈ (R+D)_{i−1} ⋈ D_i ⋈ R_{i+1} ⋈ …
-
-   — term i sees the *new* state of every source left of i and the *old*
-   state of every source right of i. Leg i's sweep answers reflect the
-   source's live state, which (FIFO channels; every batch delta was
-   applied at its source before its notice reached us) is
-
-     R_j + D_j + L_j
-
-   where L_j sums the interfering updates from j still queued behind the
-   batch. SWEEP's local error correction subtracts L_j always, and
-   additionally D_j when j > i (a right-leg source must contribute its
-   old state). The single installed delta is therefore exactly the
-   next-|batch| database transition: completely consistent. *)
-
-(* One sweep leg: the ViewChange for combined delta D_src. *)
-type leg = {
-  src : int;
-  mutable dv : Partial.t;
-  mutable temp : Partial.t;  (* the partial the outstanding query carried *)
-  mutable pending : int list;
-  mutable outstanding : int;
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after a crash restore (recovery truncates the span tree) *)
-  mutable query_span : Tracer.id;
-}
-
-type batch = {
-  entries : Update_queue.entry list;  (* delivery order *)
-  (* per-source combined deltas for the whole batch, ascending source —
-     kept in full (including net-empty sources) because right-leg
-     compensation needs D_j for every j *)
-  combined : (int * Delta.t) list;
-  (* legs still to run: the non-net-empty slice of [combined] *)
-  mutable remaining : (int * Delta.t) list;
-  mutable acc : Delta.t;  (* Σ finished legs' view deltas *)
-  mutable current : leg option;
-  (* lint: allow L5 volatile span id, like the legs': Tracer.none after restore *)
-  mutable span : Tracer.id;
-}
-
-type state = {
-  ctx : Algorithm.ctx;
-  batch_max : int;
-  mutable batch : batch option;
-  mutable aborted : int list;
-      (* qids of legs aborted by a breaker trip: late answers dropped *)
-  mutable stall_mark : int;
-      (* highest arrival number already counted in [stalled_updates] *)
-}
-
-let combined_deltas entries =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Update_queue.entry) ->
-      let i = e.update.Message.txn.source in
-      let d =
-        match Hashtbl.find_opt tbl i with
-        | Some d -> d
-        | None ->
-            let d = Delta.empty () in
-            Hashtbl.replace tbl i d;
-            d
-      in
-      Bag.merge_into ~into:d e.update.Message.delta)
-    entries;
-  Hashtbl.fold (fun i d acc -> (i, d) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-module Make (Cfg : sig
-  val batch_max : int
-end) =
-struct
-  type t = state
-
-  let name =
-    if Cfg.batch_max = 16 then "sweep-batched"
-    else Printf.sprintf "sweep-batched(k=%d)" Cfg.batch_max
-
-  let create ctx =
-    if Cfg.batch_max < 1 then
-      invalid_arg "Sweep_batched: batch_max must be >= 1";
-    { ctx; batch_max = Cfg.batch_max; batch = None; aborted = [];
-      stall_mark = -1 }
-
-  let trace t fmt =
-    Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-      ~who:"warehouse" fmt
-
-  let local t j = Aux_store.answers t.ctx.Algorithm.aux j
-
-  (* What a leg [j] of the leg for source [src] must reflect beyond the
-     installed state the aux projection holds: a left-leg source
-     (j < src) contributes its new state R_j + D_j — overlay the batch's
-     combined delta; a right-leg source (j > src) its old state R_j —
-     no overlay. (The remote path reaches the same states by subtracting
-     L_j, and additionally D_j when j > src, from the live answer.) *)
-  let leg_overlay b ~src j =
-    if j < src then
-      match List.assoc_opt j b.combined with
-      | Some d -> d
-      | None -> Delta.empty ()
-    else Delta.empty ()
-
-  let rec advance t =
-    match t.batch with
-    | None -> ()
-    | Some b -> (
-        match b.current with
-        | Some leg -> advance_leg t b leg
-        | None -> (
-            match b.remaining with
-            | (src, delta) :: rest ->
-                b.remaining <- rest;
-                let dv = Partial.of_source_delta t.ctx.view src delta in
-                let n = View_def.n_sources t.ctx.view in
-                let leg =
-                  { src; dv; temp = dv;
-                    pending = Sweep_order.order ~n ~i:src; outstanding = -1;
-                    qid = t.ctx.fresh_qid (); span = Tracer.none;
-                    query_span = Tracer.none }
-                in
-                if Obs.active t.ctx.obs then
-                  leg.span <-
-                    Obs.span t.ctx.obs ~parent:b.span "leg"
-                      [ ("source", Tracer.I src); ("qid", Tracer.I leg.qid) ];
-                b.current <- Some leg;
-                advance_leg t b leg
-            | [] -> install t b))
-
-  and advance_leg t b leg =
-    match leg.pending with
-    | j :: rest -> (
-        match
-          if local t j then
-            Algorithm.local_answer t.ctx ~name ~span:leg.span ~target:j
-              ~partial:leg.dv ~overlay:(leg_overlay b ~src:leg.src j) ()
-          else None
-        with
-        | Some dv ->
-            leg.pending <- rest;
-            leg.dv <- dv;
-            advance_leg t b leg
-        | None ->
-            leg.pending <- rest;
-            leg.outstanding <- j;
-            leg.temp <- leg.dv;
-            leg.query_span <-
-              (if Obs.active t.ctx.obs then
-                 Obs.span t.ctx.obs ~parent:leg.span "query"
-                   [ ("source", Tracer.I j); ("qid", Tracer.I leg.qid) ]
-               else Tracer.none);
-            t.ctx.send j
-              (Message.Sweep_query
-                 { qid = leg.qid; target = j; partial = Partial.copy leg.dv }))
-    | [] ->
-        let view_delta = Algebra.select_project t.ctx.view leg.dv in
-        trace t "%s: leg for source %d yields %a" name leg.src Delta.pp
-          view_delta;
-        Bag.merge_into ~into:b.acc view_delta;
-        Obs.finish t.ctx.obs leg.span;
-        b.current <- None;
-        advance t
-
-  and install t b =
-    trace t "%s: install batch of %d update(s): %a" name
-      (List.length b.entries) Delta.pp b.acc;
-    t.batch <- None;
-    t.ctx.install b.acc ~txns:b.entries;
-    Obs.finish t.ctx.obs b.span;
-    start_next t
-
-  (* Drain up to [batch_max] queued updates and start the batch — only
-     breaker-eligible ones while degraded (parked entries stay in the
-     queue, visible to the L_j interference term; at the stall cap the
-     engine falls back to blocking on the dead source). *)
-  and start_next t =
-    match t.batch with
-    | Some _ -> ()
-    | None -> (
-        let parked, mark =
-          Algorithm.note_parked ~local:(local t) t.ctx
-            ~stall_mark:t.stall_mark ~event:(name ^ ".park")
-        in
-        t.stall_mark <- mark;
-        let drained =
-          if parked = 0 || parked >= t.ctx.Algorithm.stall_cap then
-            Update_queue.take t.ctx.queue ~max:t.batch_max
-          else
-            Update_queue.take_eligible t.ctx.queue ~max:t.batch_max
-              ~eligible:(Algorithm.sweep_eligible ~local:(local t) t.ctx)
-        in
-        match drained with
-        | [] -> ()
-        | entries ->
-            let combined = combined_deltas entries in
-            let remaining =
-              List.filter (fun (_, d) -> not (Delta.is_empty d)) combined
-            in
-            let size = List.length entries in
-            Metrics.note_batch t.ctx.metrics size;
-            trace t "%s: batch of %d update(s) over %d source leg(s)" name
-              size (List.length remaining);
-            let span =
-              if Obs.active t.ctx.obs then
-                Obs.span t.ctx.obs (name ^ ".batch")
-                  [ ("updates", Tracer.I size);
-                    ("legs", Tracer.I (List.length remaining)) ]
-              else Tracer.none
-            in
-            Obs.observe t.ctx.obs "batch_size" (float_of_int size);
-            t.batch <-
-              Some
-                { entries; combined; remaining; acc = Delta.empty ();
-                  current = None; span };
-            advance t)
-
-  let on_update t (_ : Update_queue.entry) = start_next t
-
-  let on_answer t msg =
-    match (msg, t.batch) with
-    | Message.Answer { qid; source; _ }, _ when List.mem qid t.aborted ->
-        (* late answer for a breaker-aborted leg (the stale query doubled
-           as the recovery probe); the batch was pushed back and re-runs
-           with fresh qids *)
-        t.aborted <- List.filter (fun q -> q <> qid) t.aborted;
-        trace t "%s: dropped answer for aborted qid=%d from %d" name qid
-          source;
-        start_next t
-    | Message.Answer { qid; source = j; partial }, Some b -> (
-        match b.current with
-        | Some leg when qid = leg.qid && j = leg.outstanding ->
-            leg.outstanding <- -1;
-            Obs.finish t.ctx.obs leg.query_span;
-            leg.query_span <- Tracer.none;
-            (* On-line error correction against the combined deltas: the
-               answer reflects R_j + D_j + L_j. A left-leg source (j <
-               src) must contribute its new state R_j + D_j — subtract
-               L_j; a right-leg source (j > src) its old state R_j —
-               subtract D_j + L_j. L_j is, by the FIFO argument of §4,
-               exactly the queued updates from j. *)
-            let queued = Update_queue.from_source t.ctx.queue j in
-            let interfering =
-              Delta.sum
-                ((if j > leg.src then
-                    match List.assoc_opt j b.combined with
-                    | Some d -> [ d ]
-                    | None -> []
-                  else [])
-                @ List.map
-                    (fun (e : Update_queue.entry) -> e.update.Message.delta)
-                    queued)
-            in
-            if Delta.is_empty interfering then leg.dv <- partial
-            else begin
-              t.ctx.metrics.Metrics.compensations <-
-                t.ctx.metrics.Metrics.compensations + 1;
-              trace t
-                "%s: compensate answer from %d (%d queued, batch delta %s)"
-                name j (List.length queued)
-                (if j > leg.src then "included" else "not included");
-              if Obs.active t.ctx.obs then
-                Obs.event t.ctx.obs ~span:leg.span "compensate"
-                  [ ("source", Tracer.I j);
-                    ("interfering", Tracer.I (List.length queued)) ];
-              leg.dv <-
-                Algebra.compensate t.ctx.view ~answer:partial ~interfering
-                  ~temp:leg.temp
-            end;
-            advance t
-        | Some _ | None ->
-            invalid_arg
-              (Printf.sprintf "%s: unexpected answer qid=%d from %d" name qid
-                 j))
-    | Message.Answer { qid; source; _ }, None ->
-        invalid_arg
-          (Printf.sprintf "%s: unexpected answer qid=%d from %d" name qid
-             source)
-    | (Message.Snapshot _ | Message.Eca_answer _ | Message.Update_notice _), _
-      ->
-        invalid_arg (name ^ ": unexpected message kind")
-
-  (* Does any not-yet-finished work of batch [b] query source [j]? Every
-     leg for a source ≠ [j] sweeps [j]; the [j]-leg itself does not —
-     and no leg does when [j] is locally answerable. *)
-  let batch_needs t b j =
-    (match b.current with
-    | Some leg ->
-        leg.outstanding = j || (List.mem j leg.pending && not (local t j))
-    | None -> false)
-    || ((not (local t j)) && List.exists (fun (src, _) -> src <> j) b.remaining)
-
-  (* Source [j]'s breaker opened. If the batch still has a leg through
-     [j], abort the whole batch: discard the accumulated view delta,
-     return every batch entry to the head of the queue (delivery order,
-     arrival numbers intact) and remember the in-flight qid so its late
-     answer is dropped. Nothing was installed, so the re-run (as one or
-     more smaller eligible batches) recomputes from scratch. *)
-  let on_source_down t j =
-    (match t.batch with
-    | Some b when batch_needs t b j ->
-        (match b.current with
-        | Some leg when leg.outstanding >= 0 ->
-            t.aborted <- leg.qid :: t.aborted;
-            Obs.finish t.ctx.obs leg.query_span;
-            Obs.finish t.ctx.obs leg.span
-        | Some leg -> Obs.finish t.ctx.obs leg.span
-        | None -> ());
-        List.iter
-          (fun e -> Update_queue.push_front t.ctx.queue e)
-          (List.rev b.entries);
-        t.batch <- None;
-        trace t "%s: abort batch of %d update(s) — source %d tripped" name
-          (List.length b.entries) j;
-        if Obs.active t.ctx.obs then
-          Obs.event t.ctx.obs ~span:b.span (name ^ ".abort")
-            [ ("source", Tracer.I j);
-              ("updates", Tracer.I (List.length b.entries)) ];
-        Obs.finish t.ctx.obs b.span
-    | _ -> ());
-    start_next t
-
-  (* Source [j] healed: parked entries are eligible again. *)
-  let on_source_up t _j = start_next t
-
-  let idle t = t.batch = None && Update_queue.is_empty t.ctx.queue
-
-  let snap_of_leg leg =
-    Snap.List
-      [ Snap.Int leg.src; Snap.Partial (Partial.copy leg.dv);
-        Snap.Partial (Partial.copy leg.temp); Snap.ints leg.pending;
-        Snap.Int leg.outstanding; Snap.Int leg.qid ]
-
-  let leg_of_snap s =
-    match Snap.to_list s with
-    | [ src; dv; temp; pending; outstanding; qid ] ->
-        { src = Snap.to_int src; dv = Snap.to_partial dv;
-          temp = Snap.to_partial temp; pending = Snap.to_ints pending;
-          outstanding = Snap.to_int outstanding; qid = Snap.to_int qid;
-          span = Tracer.none; query_span = Tracer.none }
-    | _ -> invalid_arg (name ^ ": malformed leg snapshot")
-
-  let snap_of_deltas l =
-    Snap.List
-      (List.map
-         (fun (i, d) -> Snap.List [ Snap.Int i; Snap.Delta (Delta.copy d) ])
-         l)
-
-  let deltas_of_snap s =
-    List.map
-      (fun p ->
-        match Snap.to_list p with
-        | [ i; d ] -> (Snap.to_int i, Snap.to_delta d)
-        | _ -> invalid_arg (name ^ ": malformed per-source delta snapshot"))
-      (Snap.to_list s)
-
-  let snap_of_batch b =
-    Snap.List
-      [ Snap.List (List.map Algorithm.snap_of_entry b.entries);
-        snap_of_deltas b.combined; snap_of_deltas b.remaining;
-        Snap.Delta (Delta.copy b.acc); Snap.option snap_of_leg b.current ]
-
-  let batch_of_snap s =
-    match Snap.to_list s with
-    | [ entries; combined; remaining; acc; current ] ->
-        { entries = List.map Algorithm.entry_of_snap (Snap.to_list entries);
-          combined = deltas_of_snap combined;
-          remaining = deltas_of_snap remaining; acc = Snap.to_delta acc;
-          current = Snap.to_option leg_of_snap current; span = Tracer.none }
-    | _ -> invalid_arg (name ^ ": malformed batch snapshot")
-
-  let snapshot t =
-    Snap.List
-      [ Snap.option snap_of_batch t.batch; Snap.ints t.aborted;
-        Snap.Int t.stall_mark ]
-
-  let restore ctx s =
-    match Snap.to_list s with
-    | [ batch; aborted; stall_mark ] ->
-        { ctx; batch_max = Cfg.batch_max;
-          batch = Snap.to_option batch_of_snap batch;
-          aborted = Snap.to_ints aborted; stall_mark = Snap.to_int stall_mark }
-    | _ -> invalid_arg (name ^ ": malformed snapshot")
-end
-
-module Default = Make (struct
-  let batch_max = 16
-end)
-
-include Default
-
-let with_batch_max k : (module Algorithm.S) =
-  (module Make (struct
-    let batch_max = k
-  end))
+let with_batch_max k = Sweep_engine.algorithm (preset k)

@@ -1,201 +1,4 @@
-open Repro_relational
-open Repro_sim
-open Repro_protocol
-module Obs = Repro_observability.Obs
-module Tracer = Repro_observability.Tracer
-
-let name = "sweep-parallel"
-
-(* One directional sweep: its own query id, its own TempView, its own list
-   of sources still to visit. *)
-type side = {
-  qid : int;
-  mutable dv : Partial.t;
-  mutable temp : Partial.t;
-  mutable pending : int list;
-  mutable outstanding : int;
-  mutable finished : bool;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after restore *)
-  mutable leg : Tracer.id;
-}
-
-type view_change = {
-  entry : Update_queue.entry;
-  src : int;
-  left : side;
-  right : side;
-  (* lint: allow L5 volatile span id, like the sides': Tracer.none after restore *)
-  mutable span : Tracer.id;
-}
-
-type t = { ctx : Algorithm.ctx; mutable current : view_change option }
-
-let create ctx = { ctx; current = None }
-
-let trace t fmt =
-  Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-    ~who:"warehouse" fmt
-
-let advance_side t side =
-  match side.pending with
-  | j :: rest ->
-      side.pending <- rest;
-      side.outstanding <- j;
-      side.temp <- side.dv;
-      side.leg <-
-        (if Obs.active t.ctx.obs then
-           Obs.span t.ctx.obs ~parent:side.span "query"
-             [ ("source", Tracer.I j); ("qid", Tracer.I side.qid) ]
-         else Tracer.none);
-      t.ctx.send j
-        (Message.Sweep_query
-           { qid = side.qid; target = j; partial = Partial.copy side.dv })
-  | [] ->
-      if not side.finished then Obs.finish t.ctx.obs side.span;
-      side.finished <- true
-
-let rec maybe_finish t =
-  match t.current with
-  | Some vc when vc.left.finished && vc.right.finished ->
-      (* ΔV = ΔV_left ⋈ ΔV_right (§5.3). The right sweep started from a
-         unit-count copy of ΔR, so counts multiply correctly here. *)
-      let merged =
-        Algebra.merge_overlap t.ctx.view ~at:vc.src ~left:vc.left.dv
-          ~right:vc.right.dv
-      in
-      let view_delta = Algebra.select_project t.ctx.view merged in
-      trace t "parallel install for %a: %a" Message.pp_txn_id
-        vc.entry.update.Message.txn Delta.pp view_delta;
-      t.current <- None;
-      t.ctx.install view_delta ~txns:[ vc.entry ];
-      Obs.finish t.ctx.obs vc.span;
-      start_next t
-  | Some _ | None -> ()
-
-and start_next t =
-  match t.current with
-  | Some _ -> ()
-  | None -> (
-      match Update_queue.pop t.ctx.queue with
-      | None -> ()
-      | Some entry ->
-          let i = entry.update.Message.txn.source in
-          let n = View_def.n_sources t.ctx.view in
-          let delta = entry.update.Message.delta in
-          let left =
-            { qid = t.ctx.fresh_qid ();
-              dv = Partial.of_source_delta t.ctx.view i delta;
-              temp = Partial.of_source_delta t.ctx.view i delta;
-              pending = List.init i (fun k -> i - 1 - k);
-              outstanding = -1; finished = false; span = Tracer.none;
-              leg = Tracer.none }
-          in
-          let right =
-            { qid = t.ctx.fresh_qid ();
-              dv = Partial.of_source_delta t.ctx.view i (Delta.distinct delta);
-              temp = Partial.of_source_delta t.ctx.view i (Delta.distinct delta);
-              pending = List.init (n - 1 - i) (fun k -> i + 1 + k);
-              outstanding = -1; finished = false; span = Tracer.none;
-              leg = Tracer.none }
-          in
-          trace t "parallel ViewChange(%a): left %d hops, right %d hops"
-            Message.pp_txn_id entry.update.Message.txn i
-            (n - 1 - i);
-          let span =
-            if Obs.active t.ctx.obs then
-              Obs.span t.ctx.obs "sweep-parallel.txn"
-                [ ("txn",
-                   Tracer.S
-                     (Format.asprintf "%a" Message.pp_txn_id
-                        entry.update.Message.txn)) ]
-            else Tracer.none
-          in
-          if Obs.active t.ctx.obs then begin
-            left.span <-
-              Obs.span t.ctx.obs ~parent:span "left"
-                [ ("hops", Tracer.I i) ];
-            right.span <-
-              Obs.span t.ctx.obs ~parent:span "right"
-                [ ("hops", Tracer.I (n - 1 - i)) ]
-          end;
-          t.current <- Some { entry; src = i; left; right; span };
-          advance_side t left;
-          advance_side t right;
-          maybe_finish t)
-
-let on_update t (_ : Update_queue.entry) = start_next t
-
-let on_answer t msg =
-  match (msg, t.current) with
-  | Message.Answer { qid; source = j; partial }, Some vc
-    when (qid = vc.left.qid && j = vc.left.outstanding)
-         || (qid = vc.right.qid && j = vc.right.outstanding) ->
-      let side = if qid = vc.left.qid then vc.left else vc.right in
-      side.outstanding <- -1;
-      Obs.finish t.ctx.obs side.leg;
-      side.leg <- Tracer.none;
-      let interfering = Update_queue.from_source t.ctx.queue j in
-      (match interfering with
-      | [] -> side.dv <- partial
-      | _ :: _ ->
-          let merged =
-            Delta.sum
-              (List.map (fun e -> e.Update_queue.update.Message.delta)
-                 interfering)
-          in
-          t.ctx.metrics.Metrics.compensations <-
-            t.ctx.metrics.Metrics.compensations + 1;
-          if Obs.active t.ctx.obs then
-            Obs.event t.ctx.obs ~span:side.span "compensate"
-              [ ("source", Tracer.I j);
-                ("interfering", Tracer.I (List.length interfering)) ];
-          side.dv <-
-            Algebra.compensate t.ctx.view ~answer:partial ~interfering:merged
-              ~temp:side.temp);
-      advance_side t side;
-      maybe_finish t
-  | Message.Answer { qid; source; _ }, _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Sweep_parallel.on_answer: unexpected answer qid=%d from %d" qid
-           source)
-  | (Message.Snapshot _ | Message.Eca_answer _ | Message.Update_notice _), _ ->
-      invalid_arg "Sweep_parallel.on_answer: unexpected message kind"
-
-let on_source_down _ _ = ()
-let on_source_up _ _ = ()
-let idle t = t.current = None && Update_queue.is_empty t.ctx.queue
-
-module Snap = Repro_durability.Snap
-
-let snap_of_side s =
-  Snap.List
-    [ Snap.Int s.qid; Snap.Partial (Partial.copy s.dv);
-      Snap.Partial (Partial.copy s.temp); Snap.ints s.pending;
-      Snap.Int s.outstanding; Snap.Bool s.finished ]
-
-let side_of_snap s =
-  match Snap.to_list s with
-  | [ qid; dv; temp; pending; outstanding; finished ] ->
-      { qid = Snap.to_int qid; dv = Snap.to_partial dv;
-        temp = Snap.to_partial temp; pending = Snap.to_ints pending;
-        outstanding = Snap.to_int outstanding;
-        finished = Snap.to_bool finished; span = Tracer.none;
-        leg = Tracer.none }
-  | _ -> invalid_arg "Sweep_parallel: malformed side snapshot"
-
-let snap_of_vc vc =
-  Snap.List
-    [ Algorithm.snap_of_entry vc.entry; Snap.Int vc.src; snap_of_side vc.left;
-      snap_of_side vc.right ]
-
-let vc_of_snap s =
-  match Snap.to_list s with
-  | [ entry; src; left; right ] ->
-      { entry = Algorithm.entry_of_snap entry; src = Snap.to_int src;
-        left = side_of_snap left; right = side_of_snap right;
-        span = Tracer.none }
-  | _ -> invalid_arg "Sweep_parallel: malformed snapshot"
-
-let snapshot t = Snap.option snap_of_vc t.current
-let restore ctx s = { ctx; current = Snap.to_option vc_of_snap s }
+include
+  (val Sweep_engine.algorithm
+         { name = "sweep-parallel"; compensate = true; local_answers = false;
+           batch_max = None; window = 1; split = true; install = Immediate })

@@ -1,224 +1,10 @@
-open Repro_relational
-open Repro_sim
-open Repro_protocol
-module Obs = Repro_observability.Obs
-module Tracer = Repro_observability.Tracer
+let preset w =
+  { Sweep_engine.name =
+      (if w = 8 then "sweep-pipelined"
+       else Printf.sprintf "sweep-pipelined(w=%d)" w);
+    compensate = true; local_answers = false; batch_max = None; window = w;
+    split = false; install = Immediate }
 
-type vc = {
-  entry : Update_queue.entry;
-  mutable dv : Partial.t;
-  mutable temp : Partial.t;
-  mutable pending : int list;
-  mutable outstanding : int;
-  mutable completed : bool;  (* swept, awaiting in-order install *)
-  qid : int;
-  mutable span : Tracer.id; (* lint: allow L5 volatile span ids: never checkpointed, Tracer.none after restore *)
-  mutable leg : Tracer.id;
-}
+include (val Sweep_engine.algorithm (preset 8))
 
-(* The pipeline is a two-list deque (cf. Update_queue): [front] holds the
-   oldest view changes in delivery order, [rear] the newest in reverse,
-   and [depth] caches the total so refill never re-measures a list. *)
-type state = {
-  ctx : Algorithm.ctx;
-  window : int;
-  mutable front : vc list;  (* oldest first *)
-  mutable rear : vc list;  (* newest first *)
-  mutable depth : int; (* lint: allow L5 derived: restore recomputes it from the decoded pipeline *)
-}
-
-module Make (Cfg : sig
-  val window : int
-end) =
-struct
-  type t = state
-
-  let name =
-    if Cfg.window = 8 then "sweep-pipelined"
-    else Printf.sprintf "sweep-pipelined(w=%d)" Cfg.window
-
-  let create ctx =
-    if Cfg.window < 1 then invalid_arg "Sweep_pipelined: window < 1";
-    { ctx; window = Cfg.window; front = []; rear = []; depth = 0 }
-
-  (* Whole pipeline in delivery order, for scans and snapshots. *)
-  let pipeline t = t.front @ List.rev t.rear
-
-  let push t vc =
-    t.rear <- vc :: t.rear;
-    t.depth <- t.depth + 1
-
-  let normalize t =
-    if t.front = [] then begin
-      t.front <- List.rev t.rear;
-      t.rear <- []
-    end
-
-  let trace t fmt =
-    Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
-      ~who:"warehouse" fmt
-
-  let advance t vc =
-    match vc.pending with
-    | j :: rest ->
-        vc.pending <- rest;
-        vc.outstanding <- j;
-        vc.temp <- vc.dv;
-        vc.leg <-
-          (if Obs.active t.ctx.obs then
-             Obs.span t.ctx.obs ~parent:vc.span "query"
-               [ ("source", Tracer.I j); ("qid", Tracer.I vc.qid) ]
-           else Tracer.none);
-        t.ctx.send j
-          (Message.Sweep_query
-             { qid = vc.qid; target = j; partial = Partial.copy vc.dv })
-    | [] -> vc.completed <- true
-
-  (* Install completed sweeps strictly in delivery order, then top the
-     pipeline back up from the queue. *)
-  let rec drain_and_refill t =
-    normalize t;
-    match t.front with
-    | vc :: rest when vc.completed ->
-        let view_delta = Algebra.select_project t.ctx.view vc.dv in
-        trace t "pipelined install for %a" Message.pp_txn_id
-          vc.entry.update.Message.txn;
-        t.front <- rest;
-        t.depth <- t.depth - 1;
-        t.ctx.install view_delta ~txns:[ vc.entry ];
-        Obs.finish t.ctx.obs vc.span;
-        drain_and_refill t
-    | _ -> refill t
-
-  and refill t =
-    if t.depth < t.window then
-      match Update_queue.pop t.ctx.queue with
-      | None -> ()
-      | Some entry ->
-          let i = entry.update.Message.txn.source in
-          let n = View_def.n_sources t.ctx.view in
-          let dv =
-            Partial.of_source_delta t.ctx.view i entry.update.Message.delta
-          in
-          let span =
-            if Obs.active t.ctx.obs then
-              Obs.span t.ctx.obs (name ^ ".txn")
-                [ ("txn",
-                   Tracer.S
-                     (Format.asprintf "%a" Message.pp_txn_id
-                        entry.update.Message.txn));
-                  ("depth", Tracer.I (t.depth + 1)) ]
-            else Tracer.none
-          in
-          let vc =
-            { entry; dv; temp = dv; pending = Sweep.sweep_order ~n ~i;
-              outstanding = -1; completed = false;
-              qid = t.ctx.fresh_qid (); span; leg = Tracer.none }
-          in
-          trace t "pipelined ViewChange(%a) begins (depth %d)"
-            Message.pp_txn_id entry.update.Message.txn (t.depth + 1);
-          push t vc;
-          advance t vc;
-          (* an n=1 view completes instantly; also keep filling *)
-          drain_and_refill t
-
-  let on_update t (_ : Update_queue.entry) = drain_and_refill t
-
-  (* The "more elaborate mechanism to detect concurrent updates" (§5.3):
-     for this sweep, the interfering updates from source [j] are those
-     *delivered after* the update being swept — in the queue, or already
-     being swept further down the pipeline. Earlier-delivered updates
-     serialize before this one and are meant to be in the answer. *)
-  let interfering_deltas t vc j =
-    let queued =
-      List.map
-        (fun e -> e.Update_queue.update.Message.delta)
-        (Update_queue.from_source t.ctx.queue j)
-    in
-    let in_pipeline =
-      List.filter_map
-        (fun other ->
-          if
-            other.entry.Update_queue.arrival > vc.entry.Update_queue.arrival
-            && other.entry.update.Message.txn.source = j
-          then Some other.entry.update.Message.delta
-          else None)
-        (pipeline t)
-    in
-    in_pipeline @ queued
-
-  let on_answer t msg =
-    match msg with
-    | Message.Answer { qid; source = j; partial } -> (
-        match
-          List.find_opt
-            (fun vc -> vc.qid = qid && vc.outstanding = j)
-            (pipeline t)
-        with
-        | Some vc ->
-            vc.outstanding <- -1;
-            Obs.finish t.ctx.obs vc.leg;
-            vc.leg <- Tracer.none;
-            (match interfering_deltas t vc j with
-            | [] -> vc.dv <- partial
-            | deltas ->
-                t.ctx.metrics.Metrics.compensations <-
-                  t.ctx.metrics.Metrics.compensations + 1;
-                if Obs.active t.ctx.obs then
-                  Obs.event t.ctx.obs ~span:vc.span "compensate"
-                    [ ("source", Tracer.I j) ];
-                vc.dv <-
-                  Algebra.compensate t.ctx.view ~answer:partial
-                    ~interfering:(Delta.sum deltas) ~temp:vc.temp);
-            advance t vc;
-            drain_and_refill t
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Sweep_pipelined.on_answer: unexpected answer qid=%d from %d"
-                 qid j))
-    | Message.Snapshot _ | Message.Eca_answer _ | Message.Update_notice _ ->
-        invalid_arg "Sweep_pipelined.on_answer: unexpected message kind"
-
-  let on_source_down _ _ = ()
-  let on_source_up _ _ = ()
-  let idle t = t.depth = 0 && Update_queue.is_empty t.ctx.queue
-
-  module Snap = Repro_durability.Snap
-
-  let snap_of_vc vc =
-    Snap.List
-      [ Algorithm.snap_of_entry vc.entry; Snap.Partial (Partial.copy vc.dv);
-        Snap.Partial (Partial.copy vc.temp); Snap.ints vc.pending;
-        Snap.Int vc.outstanding; Snap.Bool vc.completed; Snap.Int vc.qid ]
-
-  let vc_of_snap s =
-    match Snap.to_list s with
-    | [ entry; dv; temp; pending; outstanding; completed; qid ] ->
-        { entry = Algorithm.entry_of_snap entry; dv = Snap.to_partial dv;
-          temp = Snap.to_partial temp; pending = Snap.to_ints pending;
-          outstanding = Snap.to_int outstanding;
-          completed = Snap.to_bool completed; qid = Snap.to_int qid;
-          span = Tracer.none; leg = Tracer.none }
-    | _ -> invalid_arg "Sweep_pipelined: malformed snapshot"
-
-  (* Checkpoint encoding stays in delivery order, exactly as before the
-     deque refactor. *)
-  let snapshot t = Snap.List (List.map snap_of_vc (pipeline t))
-
-  let restore ctx s =
-    let vcs = List.map vc_of_snap (Snap.to_list s) in
-    { ctx; window = Cfg.window; front = vcs; rear = [];
-      depth = List.length vcs }
-end
-
-module Default = Make (struct
-  let window = 8
-end)
-
-include Default
-
-let with_window w : (module Algorithm.S) =
-  (module Make (struct
-    let window = w
-  end))
+let with_window w = Sweep_engine.algorithm (preset w)

@@ -39,19 +39,14 @@ val pop : t -> entry option
     re-yields it, arrival number intact). Raises at capacity. *)
 val push_front : t -> entry -> unit
 
-(** Oldest entry satisfying [eligible], removed; ineligible (parked)
-    entries ahead of it stay in place, in order — so they remain visible
-    to {!from_source} interference tests. *)
-val pop_eligible : t -> eligible:(entry -> bool) -> entry option
-
 (** [take t ~max] removes and returns up to [max] oldest entries, oldest
-    first — the batch drain used by {!Sweep_batched} when an update
-    reaches the head of the queue. Raises [Invalid_argument] when [max]
-    is negative. *)
+    first — the sweep engine's batch drain. Raises [Invalid_argument]
+    when [max] is negative. *)
 val take : t -> max:int -> entry list
 
-(** Batched {!pop_eligible}: up to [max] eligible entries, oldest first,
-    skipping (and preserving) parked ones. *)
+(** Removes and returns up to [max] entries satisfying [eligible],
+    oldest first; ineligible (parked) entries stay in place, in order —
+    so they remain visible to {!from_source} interference tests. *)
 val take_eligible : t -> max:int -> eligible:(entry -> bool) -> entry list
 
 val peek : t -> entry option

@@ -1,9 +1,8 @@
 (* Join-strategy differential suite (DESIGN.md §15).
 
-   The three executions of a delta join leg — pairwise (generic hash
-   join), probe (persistent per-column indexes) and trie (sort-order
-   tries with leapfrog intersections) — must be observationally
-   indistinguishable: same final view bag, same event count, same sim
+   The two executions of a delta join leg — pairwise (generic hash
+   join) and probe (persistent per-column indexes) — must be
+   observationally indistinguishable: same final view bag, same event count, same sim
    time, same verdict, same message counters; only the work per leg
    differs. The suite proves it with unit equivalences over the edge
    cases (empty deltas, Null join columns, self-join-shaped specs,
@@ -36,10 +35,12 @@ let test_strategy_strings () =
         (Join_strategy.of_string s = Some j))
     [ ("pairwise", Join_strategy.Pairwise); ("scan", Join_strategy.Pairwise);
       ("hash", Join_strategy.Pairwise); ("probe", Join_strategy.Probe);
-      ("index", Join_strategy.Probe); ("indexed", Join_strategy.Probe);
-      ("trie", Join_strategy.Trie); ("leapfrog", Join_strategy.Trie) ];
-  Alcotest.(check bool) "garbage rejected" true
-    (Join_strategy.of_string "bogus" = None);
+      ("index", Join_strategy.Probe); ("indexed", Join_strategy.Probe) ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
+        (Join_strategy.of_string s = None))
+    [ "bogus"; "trie"; "leapfrog" ];
   List.iter
     (fun j ->
       Alcotest.(check bool)
@@ -50,53 +51,22 @@ let test_strategy_strings () =
   Alcotest.(check bool) "probe is the default" true
     (Join_strategy.default = Join_strategy.Probe)
 
-(* ————— trie structure ————— *)
-
-let test_trie_basics () =
-  let rel =
-    Relation.of_list
-      [ (Chain.tuple ~key:0 ~a:5 ~b:7, 1); (Chain.tuple ~key:1 ~a:5 ~b:8, 2);
-        (Chain.tuple ~key:2 ~a:9 ~b:7, 1) ]
-  in
-  let t = Trie_join.of_relation rel ~col:1 in
-  Alcotest.(check int) "keyed column" 1 (Trie_join.col t);
-  Alcotest.(check int) "two distinct keys" 2 (Trie_join.cardinal t);
-  Alcotest.(check int) "probe a=5 finds both rows" 2
-    (List.length (Trie_join.probe t (Value.int 5)));
-  (match Trie_join.probe t (Value.int 9) with
-  | [ (_, 1) ] -> ()
-  | _ -> Alcotest.fail "probe a=9: one row, multiplicity 1");
-  Alcotest.(check bool) "absent key probes empty" true
-    (Trie_join.probe t (Value.int 6) = []);
-  (* multiplicities survive grouping *)
-  match Trie_join.probe (Trie_join.of_relation rel ~col:2) (Value.int 8) with
-  | [ (_, 2) ] -> ()
-  | _ -> Alcotest.fail "b=8 carries multiplicity 2"
-
-(* ————— leg equivalence: extend ≡ extend_with_probe ≡ Trie_join.extend ————— *)
+(* ————— leg equivalence: extend ≡ extend_with_probe ————— *)
 
 let view3 = Chain.view ~n:3 ()
 
-(* Execute one leg all three ways over [r_src] at [source] and demand
+(* Execute one leg both ways over [r_src] at [source] and demand
    identical partials. *)
 let check_leg_equivalence ~ctx view partial ~source r_src =
   let tbl = Base_table.create ~source ~view r_src in
   let generic = Algebra.extend view partial ~with_relation:(source, r_src) in
-  (match
-     Algebra.extend_with_probe view partial ~source
-       ~probe:(fun ~col ~value -> Base_table.probe tbl ~col ~value)
-   with
+  match
+    Algebra.extend_with_probe view partial ~source
+      ~probe:(fun ~col ~value -> Base_table.probe tbl ~col ~value)
+  with
   | None -> Alcotest.fail (ctx ^ ": probe path declined an equality junction")
   | Some p ->
       Alcotest.(check bool) (ctx ^ ": probe ≡ pairwise") true
-        (Partial.equal p generic));
-  match
-    Trie_join.extend view partial ~source
-      ~trie:(fun ~col -> Base_table.trie tbl ~col)
-  with
-  | None -> Alcotest.fail (ctx ^ ": trie path declined an equality junction")
-  | Some p ->
-      Alcotest.(check bool) (ctx ^ ": trie ≡ pairwise") true
         (Partial.equal p generic)
 
 let test_leg_edge_cases () =
@@ -179,34 +149,6 @@ let check_leg_random seed =
 
 let leg_random_case () = Rig.for_seeds join_seeds check_leg_random
 
-(* ————— trie chain evaluation ————— *)
-
-let test_eval_chain () =
-  let rng = Repro_sim.Rng.create 99L in
-  let initial = Chain.populate view3 ~size:12 ~domain:4 rng in
-  let tbls =
-    Array.init 3 (fun i -> Base_table.create ~source:i ~view:view3 initial.(i))
-  in
-  let d = Delta.of_list [ (Chain.tuple ~key:100 ~a:1 ~b:2, 1) ] in
-  for pin = 0 to 2 do
-    (* reference: pairwise sweep outward from the pin *)
-    let p = ref (Partial.of_source_delta view3 pin d) in
-    let leg j =
-      p := Algebra.extend view3 !p ~with_relation:(j, initial.(j))
-    in
-    for j = pin - 1 downto 0 do leg j done;
-    for j = pin + 1 to 2 do leg j done;
-    match
-      Trie_join.eval_chain view3 ~pin:(pin, d)
-        ~trie:(fun j ~col -> Base_table.trie tbls.(j) ~col)
-    with
-    | None -> Alcotest.fail "eval_chain declined an all-equality chain"
-    | Some q ->
-        Alcotest.(check bool)
-          (Printf.sprintf "pin %d: trie chain ≡ pairwise sweep" pin)
-          true (Partial.equal q !p)
-  done
-
 (* ————— end-to-end: strategies are observationally identical ————— *)
 
 let algorithms =
@@ -247,10 +189,10 @@ let outage sc =
         crashes = [ { Fault.source = 1; down_at = 8.; up_at = 20. } ];
         wh_crashes = [] } }
 
-(* Run [sc] under every strategy and demand full observational identity
-   with the pairwise reference: view, events, sim time, verdict, message
-   counters. Default-strategy runs must additionally never degrade to an
-   unindexed scan. *)
+(* Run [sc] under the probe strategy and demand full observational
+   identity with the pairwise reference: view, events, sim time,
+   verdict, message counters. Default-strategy runs must additionally
+   never degrade to an unindexed scan. *)
 let check_strategies ~tag algo sc =
   let run strategy =
     Experiment.run { sc with Scenario.join_strategy = strategy } algo
@@ -258,26 +200,22 @@ let check_strategies ~tag algo sc =
   let ref_run = run Join_strategy.Pairwise in
   Alcotest.(check bool) (tag ^ ": pairwise run drains") true
     ref_run.Experiment.completed;
-  List.iter
-    (fun strategy ->
-      let name = Join_strategy.to_string strategy in
-      let ctx = Printf.sprintf "%s %s" tag name in
-      let r = run strategy in
-      Alcotest.check Rig.bag (ctx ^ ": final view ≡ pairwise")
-        ref_run.Experiment.final_view r.Experiment.final_view;
-      Alcotest.(check int) (ctx ^ ": same events")
-        ref_run.Experiment.events r.Experiment.events;
-      Alcotest.(check (float 0.)) (ctx ^ ": same sim time")
-        ref_run.Experiment.sim_time r.Experiment.sim_time;
-      Alcotest.check Rig.verdict (ctx ^ ": same verdict")
-        ref_run.Experiment.verdict.Checker.verdict
-        r.Experiment.verdict.Checker.verdict;
-      Alcotest.(check int) (ctx ^ ": same queries sent")
-        ref_run.Experiment.metrics.Metrics.queries_sent
-        r.Experiment.metrics.Metrics.queries_sent;
-      Alcotest.(check int) (ctx ^ ": no probe degraded to a scan") 0
-        r.Experiment.metrics.Metrics.unindexed_scans)
-    [ Join_strategy.Probe; Join_strategy.Trie ]
+  let ctx = tag ^ " probe" in
+  let r = run Join_strategy.Probe in
+  Alcotest.check Rig.bag (ctx ^ ": final view ≡ pairwise")
+    ref_run.Experiment.final_view r.Experiment.final_view;
+  Alcotest.(check int) (ctx ^ ": same events")
+    ref_run.Experiment.events r.Experiment.events;
+  Alcotest.(check (float 0.)) (ctx ^ ": same sim time")
+    ref_run.Experiment.sim_time r.Experiment.sim_time;
+  Alcotest.check Rig.verdict (ctx ^ ": same verdict")
+    ref_run.Experiment.verdict.Checker.verdict
+    r.Experiment.verdict.Checker.verdict;
+  Alcotest.(check int) (ctx ^ ": same queries sent")
+    ref_run.Experiment.metrics.Metrics.queries_sent
+    r.Experiment.metrics.Metrics.queries_sent;
+  Alcotest.(check int) (ctx ^ ": no probe degraded to a scan") 0
+    r.Experiment.metrics.Metrics.unindexed_scans
 
 let check_differential ~tag algo seed =
   let sc = base_scenario seed in
@@ -312,12 +250,9 @@ let test_default_never_scans () =
 let suite =
   [ Alcotest.test_case "strategy: parse and print" `Quick
       test_strategy_strings;
-    Alcotest.test_case "trie: build and probe" `Quick test_trie_basics;
     Alcotest.test_case "leg equivalence: edge cases" `Quick
       test_leg_edge_cases;
     Alcotest.test_case "leg equivalence: randomized" `Slow leg_random_case;
-    Alcotest.test_case "trie: chain evaluation ≡ pairwise sweep" `Quick
-      test_eval_chain;
     Alcotest.test_case "presets: default strategy never scans" `Slow
       test_default_never_scans;
     Alcotest.test_case "differential: sweep" `Slow
