@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins bench bench-json bench-compare examples doc clean
+.PHONY: all build test lint lint-fast lint-json lint-sarif faults recover chaos serve aux joins checker bench bench-json bench-compare examples doc clean
 
 all: build
 
@@ -68,6 +68,16 @@ aux:
 # an unindexed scan. `dune runtest` runs the same suite at 5 seeds.
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
+
+# Checker differential suite at full depth: 100 seeds per algorithm
+# (sweep, sweep-batched, nested-sweep, strobe, c-strobe, naive over the
+# concurrent preset, plus the chaos preset's degraded runs) proving the
+# single-pass indexed checker grades every history with the same
+# verdict, detail text and states_checked as the multi-replay reference
+# (test/checker_reference.ml). `dune runtest` runs the same suite at 5
+# seeds.
+checker:
+	CHECKER_SEEDS=100 dune exec test/test_main.exe -- test checker
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 bench:

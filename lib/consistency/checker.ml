@@ -30,39 +30,123 @@ type observation = {
 
 type result = { verdict : verdict; detail : string; states_checked : int }
 
-(* Apply one update to the replayed database, maintaining the expected view
-   incrementally: ΔV = R0 ⋈ … ⋈ ΔRi ⋈ … ⋈ R(n-1) evaluated on the current
-   state, then ΔRi is applied to Ri. *)
-let apply_txn view rels expected (u : Message.update) =
-  let i = u.Message.txn.source in
-  let n = View_def.n_sources view in
-  let partial = ref (Partial.of_source_delta view i u.Message.delta) in
-  for j = i - 1 downto 0 do
-    partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
-  done;
-  for j = i + 1 to n - 1 do
-    partial := Algebra.extend view !partial ~with_relation:(j, rels.(j))
-  done;
-  Bag.merge_into ~into:expected (Algebra.select_project view !partial);
-  match Relation.apply rels.(i) u.Message.delta with
+(* ————— replicas: the checker's own indexed copy of every source ————— *)
+
+(* Per-column hash index: join value -> bucket of tuples with their
+   multiplicities. Deliberately not [Base_table]'s: the oracle shares no
+   index code with the source layer it grades. *)
+type index = (Value.t, Bag.t) Hashtbl.t
+
+type replica = {
+  rel : Relation.t;
+  mutable indexes : (int * index) list;
+      (* built the first time a column is probed, then kept exact on
+         every replayed ΔRi *)
+}
+
+let index_add (idx : index) col tup c =
+  let v = Tuple.get tup col in
+  match Hashtbl.find_opt idx v with
+  | Some bucket ->
+      Bag.add bucket tup c;
+      if Bag.is_empty bucket then Hashtbl.remove idx v
+  | None ->
+      let bucket = Bag.create ~initial_size:4 () in
+      Bag.add bucket tup c;
+      Hashtbl.replace idx v bucket
+
+let probe r ~col ~value =
+  let idx =
+    match List.assoc_opt col r.indexes with
+    | Some idx -> idx
+    | None ->
+        let idx = Hashtbl.create (max 16 (Relation.cardinal r.rel)) in
+        Relation.iter (fun tup c -> index_add idx col tup c) r.rel;
+        r.indexes <- (col, idx) :: r.indexes;
+        idx
+  in
+  match Hashtbl.find_opt idx value with
+  | None -> []
+  | Some bucket -> Bag.fold (fun tup c acc -> (tup, c) :: acc) bucket []
+
+let apply_delta rel delta =
+  match Relation.apply rel delta with
   | Ok () -> ()
   | Error _ ->
       invalid_arg "Checker: delivery log contains a delete of absent tuples"
 
-let initial_expected view initial =
-  Bag.copy (Relation.as_bag (Algebra.eval view (fun i -> initial.(i))))
+(* The replayed database: one replica per source plus the expected view
+   over their current contents. *)
+type replay = { view : View_def.t; replicas : replica array; expected : Bag.t }
+
+let replay_start view initial =
+  { view;
+    replicas =
+      Array.map (fun r -> { rel = Relation.copy r; indexes = [] }) initial;
+    expected =
+      Bag.copy (Relation.as_bag (Algebra.eval view (fun i -> initial.(i)))) }
+
+(* One leg of the replayed sweep probes the replica's index; only a
+   cross-product junction, with no column to probe, joins the whole
+   relation. *)
+let leg st j (p : Partial.t) =
+  let r = st.replicas.(j) in
+  match Algebra.extend_with_probe st.view p ~source:j ~probe:(probe r) with
+  | Some p -> p
+  | None -> Algebra.extend st.view p ~with_relation:(j, r.rel)
+
+(* Apply one update to the replayed database, maintaining the expected view
+   incrementally: ΔV = R0 ⋈ … ⋈ ΔRi ⋈ … ⋈ R(n-1) evaluated on the current
+   state, then ΔRi is applied to Ri and its indexes. *)
+let replay_txn st (u : Message.update) =
+  let i = u.Message.txn.source in
+  let n = View_def.n_sources st.view in
+  let partial = ref (Partial.of_source_delta st.view i u.Message.delta) in
+  for j = i - 1 downto 0 do
+    partial := leg st j !partial
+  done;
+  for j = i + 1 to n - 1 do
+    partial := leg st j !partial
+  done;
+  Bag.merge_into ~into:st.expected (Algebra.select_project st.view !partial);
+  let r = st.replicas.(i) in
+  apply_delta r.rel u.Message.delta;
+  List.iter
+    (fun (col, idx) ->
+      Delta.iter (fun tup c -> index_add idx col tup c) u.Message.delta)
+    r.indexes
 
 let expected_states view ~initial ~deliveries =
-  let rels = Array.map Relation.copy initial in
-  let expected = initial_expected view initial in
-  let states = Array.make (List.length deliveries + 1) expected in
-  states.(0) <- Bag.copy expected;
+  let st = replay_start view initial in
+  let states = Array.make (List.length deliveries + 1) st.expected in
+  states.(0) <- Bag.copy st.expected;
   List.iteri
     (fun k u ->
-      apply_txn view rels expected u;
-      states.(k + 1) <- Bag.copy expected)
+      replay_txn st u;
+      states.(k + 1) <- Bag.copy st.expected)
     deliveries;
   states
+
+(* Convergence: the final view against one from-scratch [Algebra.eval]
+   over the sources after every delivery — the hash-join path, an
+   independent cross-check of the probed replay. *)
+let converged view obs =
+  let rels = Array.map Relation.copy obs.initial_sources in
+  List.iter
+    (fun (u : Message.update) ->
+      apply_delta rels.(u.Message.txn.source) u.Message.delta)
+    obs.deliveries;
+  let final = Relation.as_bag (Algebra.eval view (fun i -> rels.(i))) in
+  if Bag.equal final obs.final_view then Ok ()
+  else Error "final view differs from the fully-updated database state"
+
+(* ————— one pass over the installs grades every level ————— *)
+
+type grades = {
+  complete : (unit, string) Stdlib.result;
+  strong : (unit, string) Stdlib.result;
+  degraded : (unit, string) Stdlib.result;
+}
 
 (* Complete consistency: the installs partition the delivery log into
    contiguous runs, in delivery order, each installed state matching the
@@ -72,26 +156,43 @@ let expected_states view ~initial ~deliveries =
    full pending run) is complete iff it incorporates *exactly* the next
    deliveries with nothing skipped — every installed state is then a
    state the source databases actually passed through, in order, with no
-   update ever reflected early or late. Returns an error description on
-   failure. *)
-let check_complete view obs =
+   update ever reflected early or late.
+
+   Strong consistency: batch installs allowed, provided each cumulative
+   set is a per-source prefix of that source's update sequence and
+   contents match the corresponding database state; all deliveries must
+   eventually be incorporated.
+
+   Degraded consistency: the run ended with circuit breakers still open,
+   so some delivered updates were parked and never incorporated. The
+   history must meet Strong's per-install conditions over the
+   {e incorporated subset}, and the final view must equal the state
+   reached by exactly the incorporated updates — the view is honest about
+   what it reflects, it just is not done.
+
+   All three replay each batch in delivery order, so while any of them is
+   still alive they share one replay: a batch a live grade accepts is the
+   same set, applied in the same order, for every live grade. Strong and
+   Degraded differ only in their closing condition. [complete:false]
+   skips Complete's bookkeeping: once convergence has failed, only
+   Degraded is asked for. *)
+let grade ~complete view obs =
+  let n = View_def.n_sources view in
   let by_txn = Hashtbl.create 64 in
   List.iteri
     (fun k u -> Hashtbl.replace by_txn u.Message.txn (k, u))
     obs.deliveries;
   let n_deliveries = List.length obs.deliveries in
-  let rels = Array.map Relation.copy obs.initial_sources in
-  let expected = initial_expected view obs.initial_sources in
-  let next = ref 0 in
+  let st = replay_start view obs.initial_sources in
+  let applied = ref 0 in
+  let next_seq = Array.make n 0 in
+  let c_err = ref (if complete then None else Some "not graded") in
+  let p_err = ref None in
+  let fail err msg = if Option.is_none !err then err := Some msg in
   let rec go installs k =
     match installs with
-    | [] ->
-        if !next = n_deliveries then Ok ()
-        else
-          Error
-            (Format.asprintf "update %a was never installed"
-               Message.pp_txn_id
-               (List.nth obs.deliveries !next).Message.txn)
+    | [] -> ()
+    | _ when Option.is_some !c_err && Option.is_some !p_err -> ()
     | (txns, snap) :: rest -> (
         let resolved =
           List.fold_left
@@ -106,202 +207,91 @@ let check_complete view obs =
             (Ok []) txns
         in
         match resolved with
-        | Error e -> Error e
+        | Error e ->
+            fail c_err e;
+            fail p_err e
         | Ok batch ->
             let batch =
               List.sort (fun (a, _) (b, _) -> Int.compare a b) batch
             in
-            let contiguous =
-              List.for_all2
-                (fun (idx, _) want -> idx = want)
-                batch
-                (List.init (List.length batch) (fun d -> !next + d))
-            in
-            if batch = [] || not contiguous then
-              let n_txns = List.length txns in
-              Error
-                (Format.asprintf
-                   "install %d does not incorporate exactly the next %s \
-                    in delivery order"
-                   k
-                   (if n_txns <= 1 then "delivered update"
-                    else Printf.sprintf "%d delivered updates" n_txns))
-            else begin
-              List.iter (fun (_, u) -> apply_txn view rels expected u) batch;
-              next := !next + List.length batch;
-              if Bag.equal expected snap then go rest (k + 1)
-              else
-                Error
+            (* Complete: exactly the next deliveries, in order. *)
+            if Option.is_none !c_err then begin
+              let contiguous =
+                List.for_all2
+                  (fun (idx, _) want -> idx = want)
+                  batch
+                  (List.init (List.length batch) (fun d -> !applied + d))
+              in
+              if batch = [] || not contiguous then
+                let n_txns = List.length txns in
+                fail c_err
                   (Format.asprintf
-                     "install %d deviates from the expected state" k)
-            end)
-  in
-  go obs.installs 0
-
-(* Strong consistency: batch installs allowed, provided each cumulative set
-   is a per-source prefix of that source's update sequence and contents
-   match the corresponding database state; all deliveries must eventually
-   be incorporated. *)
-let check_strong view obs =
-  let n = View_def.n_sources view in
-  let by_txn = Hashtbl.create 64 in
-  List.iteri
-    (fun k u -> Hashtbl.replace by_txn u.Message.txn (k, u))
-    obs.deliveries;
-  let rels = Array.map Relation.copy obs.initial_sources in
-  let expected = initial_expected view obs.initial_sources in
-  let next_seq = Array.make n 0 in
-  let incorporated = ref 0 in
-  let n_deliveries = List.length obs.deliveries in
-  let rec go installs k =
-    match installs with
-    | [] ->
-        if !incorporated = n_deliveries then Ok ()
-        else
-          Error
-            (Printf.sprintf "only %d of %d updates were ever incorporated"
-               !incorporated n_deliveries)
-    | (txns, snap) :: rest -> (
-        (* Resolve the batch against the delivery log. *)
-        let resolved =
-          List.map
-            (fun txn ->
-              match Hashtbl.find_opt by_txn txn with
-              | Some ku -> Ok ku
-              | None ->
-                  Error
-                    (Format.asprintf "install %d claims unknown txn %a" k
-                       Message.pp_txn_id txn))
-            txns
-        in
-        match
-          List.fold_left
-            (fun acc r ->
-              match (acc, r) with
-              | Error e, _ -> Error e
-              | Ok l, Ok ku -> Ok (ku :: l)
-              | Ok _, Error e -> Error e)
-            (Ok []) resolved
-        with
-        | Error e -> Error e
-        | Ok batch ->
-            (* Per-source prefix condition. *)
-            let by_source = Array.make n [] in
-            List.iter
-              (fun (_, u) ->
-                let s = u.Message.txn.Message.source in
-                by_source.(s) <- u.Message.txn.Message.seq :: by_source.(s))
-              batch;
-            let prefix_ok = ref true in
-            Array.iteri
-              (fun s seqs ->
-                let seqs = List.sort Int.compare seqs in
-                List.iter
-                  (fun seq ->
-                    if seq <> next_seq.(s) then prefix_ok := false
-                    else next_seq.(s) <- next_seq.(s) + 1)
-                  seqs)
-              by_source;
-            if not !prefix_ok then
-              Error
-                (Printf.sprintf
-                   "install %d skips over an earlier update of some source" k)
-            else begin
-              (* Replay the batch in delivery order (the final state of a
-                 batch is interleaving-independent). *)
-              let batch =
-                List.sort (fun (a, _) (b, _) -> Int.compare a b) batch
-              in
-              List.iter (fun (_, u) -> apply_txn view rels expected u) batch;
-              incorporated := !incorporated + List.length batch;
-              if Bag.equal expected snap then go rest (k + 1)
-              else
-                Error
+                     "install %d does not incorporate exactly the next %s \
+                      in delivery order"
+                     k
+                     (if n_txns <= 1 then "delivered update"
+                      else Printf.sprintf "%d delivered updates" n_txns))
+            end;
+            (* Strong / Degraded: per-source prefix condition. *)
+            if Option.is_none !p_err then begin
+              let by_source = Array.make n [] in
+              List.iter
+                (fun (_, u) ->
+                  let s = u.Message.txn.Message.source in
+                  by_source.(s) <- u.Message.txn.Message.seq :: by_source.(s))
+                batch;
+              let prefix_ok = ref true in
+              Array.iteri
+                (fun s seqs ->
+                  List.iter
+                    (fun seq ->
+                      if seq <> next_seq.(s) then prefix_ok := false
+                      else next_seq.(s) <- next_seq.(s) + 1)
+                    (List.sort Int.compare seqs))
+                by_source;
+              if not !prefix_ok then
+                fail p_err
+                  (Printf.sprintf
+                     "install %d skips over an earlier update of some source"
+                     k)
+            end;
+            if Option.is_none !c_err || Option.is_none !p_err then begin
+              List.iter (fun (_, u) -> replay_txn st u) batch;
+              applied := !applied + List.length batch;
+              if not (Bag.equal st.expected snap) then begin
+                fail c_err
+                  (Printf.sprintf "install %d deviates from the expected state"
+                     k);
+                fail p_err
                   (Printf.sprintf
                      "install %d deviates from its batch's database state" k)
+              end;
+              go rest (k + 1)
             end)
   in
-  go obs.installs 0
-
-(* Degraded consistency: the run ended with circuit breakers still open,
-   so some delivered updates were parked and never incorporated. The
-   install history must still be order-preserving and exact over the
-   {e incorporated subset} (per-source prefixes, contents matching the
-   partially-updated database state), and the final view must equal the
-   state reached by exactly the incorporated updates — the view is
-   honest about what it reflects, it just is not done. *)
-let check_degraded view obs =
-  let n = View_def.n_sources view in
-  let by_txn = Hashtbl.create 64 in
-  List.iteri
-    (fun k u -> Hashtbl.replace by_txn u.Message.txn (k, u))
-    obs.deliveries;
-  let rels = Array.map Relation.copy obs.initial_sources in
-  let expected = initial_expected view obs.initial_sources in
-  let next_seq = Array.make n 0 in
-  let rec go installs k =
-    match installs with
-    | [] ->
-        if Bag.equal expected obs.final_view then Ok ()
-        else
-          Error "final view deviates from the incorporated updates' state"
-    | (txns, snap) :: rest -> (
-        match
-          List.fold_left
-            (fun acc txn ->
-              match (acc, Hashtbl.find_opt by_txn txn) with
-              | Error e, _ -> Error e
-              | Ok _, None ->
-                  Error
-                    (Format.asprintf "install %d claims unknown txn %a" k
-                       Message.pp_txn_id txn)
-              | Ok l, Some ku -> Ok (ku :: l))
-            (Ok []) txns
-        with
-        | Error e -> Error e
-        | Ok batch ->
-            let by_source = Array.make n [] in
-            List.iter
-              (fun (_, u) ->
-                let s = u.Message.txn.Message.source in
-                by_source.(s) <- u.Message.txn.Message.seq :: by_source.(s))
-              batch;
-            let prefix_ok = ref true in
-            Array.iteri
-              (fun s seqs ->
-                let seqs = List.sort Int.compare seqs in
-                List.iter
-                  (fun seq ->
-                    if seq <> next_seq.(s) then prefix_ok := false
-                    else next_seq.(s) <- next_seq.(s) + 1)
-                  seqs)
-              by_source;
-            if not !prefix_ok then
-              Error
-                (Printf.sprintf
-                   "install %d skips over an earlier update of some source" k)
-            else begin
-              let batch =
-                List.sort (fun (a, _) (b, _) -> Int.compare a b) batch
-              in
-              List.iter (fun (_, u) -> apply_txn view rels expected u) batch;
-              if Bag.equal expected snap then go rest (k + 1)
-              else
-                Error
-                  (Printf.sprintf
-                     "install %d deviates from its batch's database state" k)
-            end)
+  go obs.installs 0;
+  let closing err cond msg =
+    match err with
+    | Some e -> Error e
+    | None -> if cond () then Ok () else Error (msg ())
   in
-  go obs.installs 0
-
-let check_convergent view obs =
-  let states =
-    expected_states view ~initial:obs.initial_sources
-      ~deliveries:obs.deliveries
-  in
-  let final = states.(Array.length states - 1) in
-  if Bag.equal final obs.final_view then Ok ()
-  else Error "final view differs from the fully-updated database state"
+  { complete =
+      closing !c_err
+        (fun () -> !applied = n_deliveries)
+        (fun () ->
+          Format.asprintf "update %a was never installed" Message.pp_txn_id
+            (List.nth obs.deliveries !applied).Message.txn);
+    strong =
+      closing !p_err
+        (fun () -> !applied = n_deliveries)
+        (fun () ->
+          Printf.sprintf "only %d of %d updates were ever incorporated"
+            !applied n_deliveries);
+    degraded =
+      closing !p_err
+        (fun () -> Bag.equal st.expected obs.final_view)
+        (fun () -> "final view deviates from the incorporated updates' state")
+  }
 
 (* ————— session guarantees over the read path ————— *)
 
@@ -374,39 +364,33 @@ let pp_session_report ppf r =
 
 let check ?(degraded = false) view obs =
   let states_checked = List.length obs.installs + 1 in
+  let result verdict detail = { verdict; detail; states_checked } in
   (* A wrong final view is inconsistent no matter what the install
      history looks like — check it unconditionally first (a vacuously
      perfect history, e.g. a zero-update run, must not mask it). A
      degraded run (breakers open at the end, updates still parked) is
      allowed to miss the fully-updated state, but only if it is exact
      over the incorporated subset. *)
-  match check_convergent view obs with
+  match converged view obs with
   | Error conv_err when degraded -> (
-      match check_degraded view obs with
+      match (grade ~complete:false view obs).degraded with
       | Ok () ->
-          { verdict = Degraded;
-            detail =
-              "breakers still open at end of run; view is exact over the \
-               incorporated updates";
-            states_checked }
+          result Degraded
+            "breakers still open at end of run; view is exact over the \
+             incorporated updates"
       | Error deg_err ->
-          { verdict = Inconsistent;
-            detail = conv_err ^ "; and over the incorporated subset: "
-                     ^ deg_err;
-            states_checked })
-  | Error conv_err ->
-      { verdict = Inconsistent; detail = conv_err; states_checked }
+          result Inconsistent
+            (conv_err ^ "; and over the incorporated subset: " ^ deg_err))
+  | Error conv_err -> result Inconsistent conv_err
   | Ok () -> (
-  match check_complete view obs with
-  | Ok () -> { verdict = Complete; detail = "every update installed in delivery order with exact contents"; states_checked }
-  | Error complete_err -> (
-      match check_strong view obs with
-      | Ok () ->
-          { verdict = Strong;
-            detail = "not complete (" ^ complete_err ^ ") but all batches \
-                      order-preserving and exact";
-            states_checked }
-      | Error strong_err ->
-          { verdict = Convergent;
-            detail = "not strong (" ^ strong_err ^ ") but converged";
-            states_checked }))
+      let g = grade ~complete:true view obs in
+      match (g.complete, g.strong) with
+      | Ok (), _ ->
+          result Complete
+            "every update installed in delivery order with exact contents"
+      | Error complete_err, Ok () ->
+          result Strong
+            ("not complete (" ^ complete_err
+           ^ ") but all batches order-preserving and exact")
+      | Error _, Error strong_err ->
+          result Convergent ("not strong (" ^ strong_err ^ ") but converged"))

@@ -2,9 +2,11 @@
     (paper §2's hierarchy: complete ⊃ strong ⊃ convergence).
 
     The warehouse serializes source updates in delivery order (paper §5).
-    Replaying that serialization over the initial database gives the
-    expected view after every prefix; the observed install history is then
-    classified:
+    {!check} is a single pass: it replays that serialization install by
+    install over its own copies of the sources, whose per-column indexes
+    the replayed join legs probe, and grades every level below side by
+    side on that one replay. The final view is checked against one
+    from-scratch [Algebra.eval], independent of the probed replay.
 
     - {b Complete}: the installs partition the delivery log into
       contiguous runs, in delivery order, each matching the expected
@@ -65,7 +67,7 @@ val check : ?degraded:bool -> View_def.t -> observation -> result
 
 (** [expected_states view ~initial ~deliveries] — the ground-truth view
     after each delivery prefix (element 0 = initial view), computed by
-    in-memory incremental maintenance. Exposed for tests and for the
+    the same indexed replay {!check} uses. Exposed for tests and for the
     Figure 5 walkthrough. *)
 val expected_states :
   View_def.t -> initial:Relation.t array -> deliveries:Message.update list ->

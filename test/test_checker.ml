@@ -342,9 +342,285 @@ let test_degraded_dishonest_final_view_rejected () =
   Alcotest.check Rig.verdict "dishonest degraded view rejected"
     Checker.Inconsistent r.Checker.verdict
 
+(* Every verdict's wording, pinned byte for byte to the multi-replay
+   checker the single pass replaced (kept as Checker_reference): the
+   detail text of all five verdicts, including each failed level's
+   reason, and states_checked. *)
+let pin ?degraded ~ctx o (verdict, detail, states) =
+  let got = Checker.check ?degraded view o in
+  let reference =
+    Checker_reference.check ?degraded view
+      { Checker_reference.initial_sources = o.Checker.initial_sources;
+        deliveries = o.Checker.deliveries; installs = o.Checker.installs;
+        final_view = o.Checker.final_view }
+  in
+  Alcotest.check Rig.verdict (ctx ^ ": verdict") verdict got.Checker.verdict;
+  Alcotest.(check string) (ctx ^ ": detail") detail got.Checker.detail;
+  Alcotest.(check int) (ctx ^ ": states checked") states
+    got.Checker.states_checked;
+  Alcotest.(check string) (ctx ^ ": reference verdict")
+    (Checker.verdict_to_string verdict)
+    (Checker_reference.verdict_to_string reference.Checker_reference.verdict);
+  Alcotest.(check string) (ctx ^ ": reference detail") detail
+    reference.Checker_reference.detail;
+  Alcotest.(check int) (ctx ^ ": reference states checked") states
+    reference.Checker_reference.states_checked
+
+let test_verdict_wording () =
+  let v1 = Paper_example.v1 () and v2 = Paper_example.v2 () in
+  let v3 = Paper_example.v3 () in
+  let junk = Bag.of_list [ (Tuple.ints [ 0; 0 ], 1) ] in
+  pin ~ctx:"complete"
+    (obs [ ([ txn 0 ], v1); ([ txn 1 ], v2); ([ txn 2 ], v3) ] v3)
+    ( Checker.Complete,
+      "every update installed in delivery order with exact contents", 4 );
+  let skipping =
+    Checker.expected_states view ~initial:(Paper_example.initial ())
+      ~deliveries:
+        [ List.nth deliveries 0; List.nth deliveries 2; List.nth deliveries 1 ]
+  in
+  pin ~ctx:"strong"
+    (obs [ ([ txn 0; txn 2 ], skipping.(2)); ([ txn 1 ], v3) ] v3)
+    ( Checker.Strong,
+      "not complete (install 0 does not incorporate exactly the next 2 \
+       delivered updates in delivery order) but all batches \
+       order-preserving and exact",
+      3 );
+  pin ~ctx:"convergent: deviation"
+    (obs [ ([ txn 0 ], junk); ([ txn 1 ], junk); ([ txn 2 ], v3) ] v3)
+    ( Checker.Convergent,
+      "not strong (install 0 deviates from its batch's database state) but \
+       converged",
+      4 );
+  let reordered =
+    List.map
+      (fun (seq, delta) ->
+        { Message.txn = { Message.source = 1; seq }; delta; occurred_at = 0.;
+          global = None })
+      [ (0, Delta.insertion (Tuple.ints [ 9; 5 ]));
+        (1, Delta.deletion (Tuple.ints [ 3; 7 ])) ]
+  in
+  let final =
+    (Checker.expected_states view ~initial:(Paper_example.initial ())
+       ~deliveries:reordered).(2)
+  in
+  pin ~ctx:"convergent: skip"
+    { Checker.initial_sources = Paper_example.initial ();
+      deliveries = reordered;
+      installs =
+        [ ([ { Message.source = 1; seq = 1 } ], final);
+          ([ { Message.source = 1; seq = 0 } ], final) ];
+      final_view = final }
+    ( Checker.Convergent,
+      "not strong (install 0 skips over an earlier update of some source) \
+       but converged",
+      3 );
+  pin ~ctx:"convergent: unknown txn"
+    (obs [ ([ { Message.source = 2; seq = 9 } ], v1) ] v3)
+    ( Checker.Convergent,
+      "not strong (install 0 claims unknown txn u2.9) but converged", 2 );
+  pin ~ctx:"convergent: never incorporated"
+    (obs [ ([ txn 0 ], v1); ([ txn 1 ], v2) ] v3)
+    ( Checker.Convergent,
+      "not strong (only 2 of 3 updates were ever incorporated) but converged",
+      3 );
+  pin ~ctx:"inconsistent"
+    (obs [ ([ txn 0 ], junk) ] junk)
+    ( Checker.Inconsistent,
+      "final view differs from the fully-updated database state", 2 );
+  pin ~degraded:true ~ctx:"degraded"
+    (obs [ ([ txn 0 ], v1) ] v1)
+    ( Checker.Degraded,
+      "breakers still open at end of run; view is exact over the \
+       incorporated updates",
+      2 );
+  pin ~degraded:true ~ctx:"degraded: dishonest final view"
+    (obs [] junk)
+    ( Checker.Inconsistent,
+      "final view differs from the fully-updated database state; and over \
+       the incorporated subset: final view deviates from the incorporated \
+       updates' state",
+      1 );
+  pin ~degraded:true ~ctx:"degraded: deviating install"
+    (obs [ ([ txn 0 ], junk) ] v1)
+    ( Checker.Inconsistent,
+      "final view differs from the fully-updated database state; and over \
+       the incorporated subset: install 0 deviates from its batch's \
+       database state",
+      2 )
+
+(* The replay keeps its own per-column indexes over its copies of the
+   sources; they must stay exact. [expected_states] is the replay, so
+   every prefix state must equal a from-scratch [Algebra.eval]. The view
+   puts every junction shape on every update's path: R0 × R1 is a cross
+   product (the fallback that joins the whole relation), R1 ⋈ R2 has a
+   residual predicate, R2 ⋈ R3 equates two column pairs. A scripted
+   prefix empties an index bucket with a delete and re-inserts the same
+   tuple; seeded random updates (inserts, duplicate inserts, deletes,
+   two-change deltas) follow. *)
+let index_view =
+  let g src col = (src * 3) + col in
+  View_def.make ~name:"junctions" ~schemas:(Repro_workload.Chain.schemas ~n:4)
+    ~joins:
+      [| Join_spec.make [];
+         Join_spec.make
+           ~residual:(Predicate.Cmp (Predicate.Le, Attr (g 1 1), Attr (g 2 2)))
+           [ (g 1 2, g 2 1) ];
+         Join_spec.make [ (g 2 1, g 3 1); (g 2 2, g 3 2) ] |]
+    ~projection:[| g 0 0; g 1 0; g 2 0; g 3 0; g 3 2 |]
+    ()
+
+let test_replica_indexes_exact () =
+  let int = Repro_sim.Rng.int in
+  for seed = 1 to 20 do
+    let rng = Repro_sim.Rng.create (Int64.of_int seed) in
+    let initial =
+      Array.init 4 (fun _ ->
+          Relation.of_tuples
+            (List.init 6 (fun k -> Tuple.ints [ k; int rng 3; int rng 3 ])))
+    in
+    let rels = Array.map Relation.copy initial in
+    let seqs = Array.make 4 0 in
+    let rev = ref [] in
+    let emit source changes =
+      let delta = Delta.of_list changes in
+      (match Relation.apply rels.(source) delta with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "generator emitted an absent delete");
+      rev :=
+        { Message.txn = { Message.source; seq = seqs.(source) }; delta;
+          occurred_at = 0.; global = None }
+        :: !rev;
+      seqs.(source) <- seqs.(source) + 1
+    in
+    (* R2's tuple (50, 7, 7) is the only one whose a is 7: R3 updates
+       probe R2 on that column, the delete empties its bucket, and the
+       re-insert must bring the partner back. *)
+    let lone = Tuple.ints [ 50; 7; 7 ] in
+    emit 2 [ (lone, 1) ];
+    emit 3 [ (Tuple.ints [ 60; 7; 7 ], 1) ];
+    emit 2 [ (lone, -1) ];
+    emit 3 [ (Tuple.ints [ 61; 7; 7 ], 1) ];
+    emit 2 [ (lone, 1) ];
+    emit 3 [ (Tuple.ints [ 62; 7; 7 ], 1) ];
+    for _ = 1 to 40 do
+      let source = int rng 4 in
+      let fresh () = Tuple.ints [ 100 + int rng 1000; int rng 3; int rng 3 ] in
+      let present =
+        match Relation.to_sorted_list rels.(source) with
+        | [] -> None
+        | l -> Some (fst (List.nth l (int rng (List.length l))))
+      in
+      match (int rng 4, present) with
+      | (0 | 1), _ -> emit source [ (fresh (), 1) ]
+      | 2, Some tup -> emit source [ (tup, -1) ]
+      | 3, Some tup ->
+          (* a duplicate insert plus a fresh one in a single delta *)
+          emit source [ (tup, 1); (fresh (), 1) ]
+      | _ -> ()
+    done;
+    let deliveries = List.rev !rev in
+    let states = Checker.expected_states index_view ~initial ~deliveries in
+    let replay = Array.map Relation.copy initial in
+    Array.iteri
+      (fun k state ->
+        if k > 0 then begin
+          let u = List.nth deliveries (k - 1) in
+          ignore (Relation.apply replay.(u.Message.txn.source) u.Message.delta)
+        end;
+        Alcotest.check Rig.bag
+          (Printf.sprintf "seed %d prefix %d equals a fresh eval" seed k)
+          (Relation.as_bag (Algebra.eval index_view (fun i -> replay.(i))))
+          state)
+      states
+  done
+
+(* Scale regression: replayed legs probe the replicas' indexes, so the
+   checker's cost per update follows the join fan-out, not the size of
+   the base relations. Measured as the marginal minor words of one
+   [Checker.check] per update (a 200-update history minus its 100-update
+   prefix, so per-check set-up cancels), over a selective 3-source chain:
+   the join domain grows with the relations (about one partner per
+   tuple) and the selection keeps |V| near ten tuples. Allocation counts
+   are deterministic, so the bound is exact across hosts; a checker that
+   copies or scans a base relation per leg grows with |R| and fails. *)
+let marginal_words_per_update ~size =
+  let view =
+    Repro_workload.Chain.view ~n:3
+      ~selection:(Predicate.cmp_const Predicate.Lt 0 (Value.Int 10))
+      ()
+  in
+  let rng = Repro_sim.Rng.create 11L in
+  let initial =
+    Repro_workload.Chain.populate view ~size ~domain:size
+      (Repro_sim.Rng.split rng)
+  in
+  let live = Array.map Relation.copy initial in
+  let seqs = Array.make 3 0 in
+  let deliveries =
+    List.init 200 (fun k ->
+        let source = Repro_sim.Rng.int rng 3 in
+        let delta =
+          if k mod 3 = 2 then begin
+            (* delete one of the original tuples, if still present *)
+            let tup =
+              Relation.fold
+                (fun tup _ acc -> match acc with None -> Some tup | s -> s)
+                live.(source) None
+            in
+            match tup with
+            | Some tup -> Delta.deletion tup
+            | None -> Delta.empty ()
+          end
+          else
+            Delta.insertion
+              (Repro_workload.Chain.tuple ~key:(size + k)
+                 ~a:(Repro_sim.Rng.int rng size)
+                 ~b:(Repro_sim.Rng.int rng size))
+        in
+        ignore (Relation.apply live.(source) delta);
+        let txn = { Message.source; seq = seqs.(source) } in
+        seqs.(source) <- seqs.(source) + 1;
+        { Message.txn; delta; occurred_at = 0.; global = None })
+  in
+  let states = Checker.expected_states view ~initial ~deliveries in
+  let words n =
+    let deliveries = List.filteri (fun k _ -> k < n) deliveries in
+    let o =
+      { Checker.initial_sources = initial; deliveries;
+        installs = List.mapi (fun k u -> ([ u.Message.txn ], states.(k + 1))) deliveries;
+        final_view = states.(n) }
+    in
+    let before = Gc.minor_words () in
+    let r = Checker.check view o in
+    let after = Gc.minor_words () in
+    Alcotest.check Rig.verdict
+      (Printf.sprintf "|R| = %d, %d updates: complete" size n)
+      Checker.Complete r.Checker.verdict;
+    after -. before
+  in
+  (words 200 -. words 100) /. 100.
+
+let test_cost_per_update_independent_of_base_size () =
+  let small = marginal_words_per_update ~size:500 in
+  let large = marginal_words_per_update ~size:4000 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "minor words per update: %.0f at 4000 tuples/source within 2x of \
+        %.0f at 500"
+       large small)
+    true
+    (large <= 2. *. small)
+
 let suite =
   suite
-  @ [ Alcotest.test_case "degenerate: empty initial database" `Quick
+  @ [ Alcotest.test_case "cost per update independent of |R|" `Quick
+        test_cost_per_update_independent_of_base_size;
+      Alcotest.test_case "replica indexes stay exact at every prefix" `Quick
+        test_replica_indexes_exact;
+      Alcotest.test_case "verdict wording is pinned" `Quick
+        test_verdict_wording;
+      Alcotest.test_case "degenerate: empty initial database" `Quick
         test_degenerate_empty_initial;
       Alcotest.test_case "degraded: zero-update run still grades" `Quick
         test_degraded_zero_updates;
