@@ -61,11 +61,12 @@ serve:
 aux:
 	AUX_SEEDS=100 dune exec test/test_main.exe -- test aux
 
-# Join-strategy differential suite at full depth: 100 seeds per
-# algorithm proving pairwise and probe execution produce
-# bit-identical views, replays and verdicts (including under crash and
-# outage schedules), and that the default probe path never degrades to
-# an unindexed scan. `dune runtest` runs the same suite at 5 seeds.
+# Indexed join-leg suite at full depth: 100 seeds per algorithm
+# (sweep, sweep-batched, nested-sweep, strobe) over plain, crash and
+# outage schedules, each run draining at its consistency floor, ending
+# on the from-scratch Algebra.eval oracle and never degrading a probe
+# to an unindexed scan; plus probe-vs-hash-join leg equivalences and the
+# cross-product fallback. `dune runtest` runs the same suite at 5 seeds.
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
 

@@ -73,11 +73,19 @@ let algorithms_for (s : Scenario.t) =
       | (Centralized_only | By_name_only), _ -> None)
     registry
 
+let observation ~initial_sources node =
+  { Checker.initial_sources;
+    deliveries = Node.deliveries node;
+    installs =
+      List.map
+        (fun (r : Node.install_record) -> (r.txns, r.view_after))
+        (Node.installs node);
+    final_view = Node.view_contents node }
+
 let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     ?max_events ?(on_node = ignore) (scenario : Scenario.t)
     (algorithm : (module Algorithm.S)) =
   let wall_start = wall_clock () in
-  let strategy = scenario.join_strategy in
   let engine = Engine.create ~seed:scenario.seed () in
   Obs.set_clock obs (Engine.clock engine);
   let rng = Engine.rng engine in
@@ -230,8 +238,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
   in
   (* apply: how the workload performs an update at "source i";
      scan_total: probes across this run's own base tables that degraded
-     to O(n) scans — under the default Probe strategy the suites
-     assert 0. *)
+     to O(n) scans — the suites assert 0. *)
   let send_to, apply, scan_total =
     match scenario.topology with
     | Scenario.Distributed ->
@@ -247,7 +254,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
         in
         let sources =
           Array.init n (fun i ->
-              Source_node.create ~strategy engine ~view ~id:i
+              Source_node.create engine ~view ~id:i
                 ~init:initial.(i)
                 ~send:(fun m -> up_send.(i) m)
                 ~trace)
@@ -288,8 +295,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
             Channel.send ch
         in
         let site =
-          Eca_site.create ~strategy engine ~view ~inits:initial ~send:up
-            ~trace
+          Eca_site.create engine ~view ~inits:initial ~send:up ~trace
         in
         let deliver_down m = Eca_site.handle site m in
         let down =
@@ -318,8 +324,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     else None
   in
   let aux =
-    Aux_store.create ~view ~mode:scenario.aux_mode ~strategy
-      ~initial:initial_copy ()
+    Aux_store.create ~view ~mode:scenario.aux_mode ~initial:initial_copy ()
   in
   let warehouse =
     Node.create engine ~view ~algorithm ~send:send_to ~init:initial_view
@@ -347,8 +352,8 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
     match bp with
     | None -> apply
     | Some bp ->
-        Node.add_incorporate_listener warehouse (fun k ->
-            Backpressure.release bp k);
+        Node.add_install_txns_listener warehouse (fun txns ->
+            Backpressure.release bp (List.length txns));
         fun ~source ~global delta ->
           Backpressure.submit bp ~source ~noop:(Delta.is_empty delta)
             (fun () -> apply ~source ~global delta)
@@ -563,13 +568,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
   let verdict =
     if check && completed then
       Checker.check ~degraded view
-        { Checker.initial_sources = initial_copy;
-          deliveries = Node.deliveries warehouse;
-          installs =
-            List.map
-              (fun (r : Node.install_record) -> (r.txns, r.view_after))
-              (Node.installs warehouse);
-          final_view = Node.view_contents warehouse }
+        (observation ~initial_sources:initial_copy warehouse)
     else
       { Checker.verdict = Checker.Convergent; detail = "not checked";
         states_checked = 0 }
@@ -593,8 +592,7 @@ type scripted_outcome = {
 
 let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
     ?(obs = Obs.disabled ()) ?(aux_mode = Aux_store.Off)
-    ?(join_strategy = Join_strategy.default) ~algorithm ~view ~initial
-    ~updates () =
+    ~algorithm ~view ~initial ~updates () =
   let open Repro_relational in
   let engine = Engine.create ~seed () in
   Obs.set_clock obs (Engine.clock engine);
@@ -612,7 +610,7 @@ let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
   in
   let sources =
     Array.init n (fun i ->
-        Source_node.create ~strategy:join_strategy engine ~view ~id:i
+        Source_node.create engine ~view ~id:i
           ~init:initial.(i)
           ~send:(fun m -> Channel.send up.(i) m)
           ~trace)
@@ -627,9 +625,7 @@ let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
     Node.create engine ~view ~algorithm
       ~send:(fun i msg -> Channel.send down.(i) msg)
       ~init:initial_view
-      ~aux:
-        (Aux_store.create ~view ~mode:aux_mode ~strategy:join_strategy
-           ~initial:initial_copy ())
+      ~aux:(Aux_store.create ~view ~mode:aux_mode ~initial:initial_copy ())
       ~trace ~obs ()
   in
   node := Some warehouse;
@@ -643,13 +639,7 @@ let run_scripted ?(latency = 1.0) ?(seed = 7L) ?(trace_enabled = true)
 
 let check_scripted outcome =
   Checker.check outcome.view
-    { Checker.initial_sources = outcome.initial_sources;
-      deliveries = Node.deliveries outcome.node;
-      installs =
-        List.map
-          (fun (r : Node.install_record) -> (r.txns, r.view_after))
-          (Node.installs outcome.node);
-      final_view = Node.view_contents outcome.node }
+    (observation ~initial_sources:outcome.initial_sources outcome.node)
 
 let pp_result ppf r =
   Format.fprintf ppf

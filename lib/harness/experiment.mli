@@ -62,13 +62,20 @@ val run_scripted :
   ?trace_enabled:bool ->
   ?obs:Repro_observability.Obs.t ->
   ?aux_mode:Repro_warehouse.Aux_store.mode ->
-  ?join_strategy:Repro_relational.Join_strategy.t ->
   algorithm:(module Repro_warehouse.Algorithm.S) ->
   view:Repro_relational.View_def.t ->
   initial:Repro_relational.Relation.t array ->
   updates:(float * int * Repro_relational.Delta.t) list ->
   unit ->
   scripted_outcome
+
+(** [observation ~initial_sources node] — the checker's input for a
+    drained run: [node]'s delivery order, install history (it must have
+    been created with [record_history]) and final view, against the
+    sources' contents before any update. *)
+val observation :
+  initial_sources:Repro_relational.Relation.t array -> Node.t ->
+  Checker.observation
 
 (** Consistency verdict for a scripted run. *)
 val check_scripted : scripted_outcome -> Checker.result

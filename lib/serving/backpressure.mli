@@ -10,7 +10,7 @@
     update takes a token; an update finding no token free waits in a
     per-source FIFO (preserving per-source order); tokens return when the
     warehouse reports updates incorporated
-    ({!Repro_warehouse.Node.add_incorporate_listener}).
+    ({!Repro_warehouse.Node.add_install_txns_listener}).
 
     An update with an {e empty} delta that would have to wait is shed
     instead: it changes no source state and no expected view state, so

@@ -15,8 +15,8 @@ type t = {
       (* probes that found no index and degraded to an O(n) relation
          scan — per table, so concurrent runs (and, eventually, domains)
          never share a counter; the harness sums its own tables into
-         Metrics.unindexed_scans and the default-strategy suites assert
-         the sum stays 0 *)
+         Metrics.unindexed_scans and the suites assert the sum stays
+         0 *)
 }
 
 let index_add (idx : index) tup col count =
@@ -79,14 +79,22 @@ let probe t ~col ~value =
       | Some bucket -> Hashtbl.fold (fun tup c acc -> (tup, c) :: acc) bucket [])
   | None ->
       (* No index: degrade to a counted O(n) scan rather than fail the
-         query — the default-strategy suites assert the counter stays 0,
-         so a call-site regression surfaces in tests, not in latency. *)
+         query — the suites assert the counter stays 0, so a call-site
+         regression surfaces in tests, not in latency. *)
       t.scans <- t.scans + 1;
       let acc = ref [] in
       Relation.iter
         (fun tup c -> if Tuple.get tup col = value then acc := (tup, c) :: !acc)
         t.rel;
       !acc
+
+let extend t view partial =
+  match
+    Algebra.extend_with_probe view partial ~source:t.src
+      ~probe:(fun ~col ~value -> probe t ~col ~value)
+  with
+  | Some answer -> answer
+  | None -> Algebra.extend view partial ~with_relation:(t.src, t.rel)
 
 let apply t delta =
   (match Relation.apply t.rel delta with

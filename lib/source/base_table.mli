@@ -29,10 +29,18 @@ val indexed_columns : t -> int list
 (** [probe t ~col ~value] — all tuples whose [col] equals [value], with
     multiplicities. Served by the persistent index when [col] is
     indexed; otherwise degrades to an O(n) relation scan counted in
-    {!scan_count} (the default-strategy suites assert that counter
-    stays 0, so a regression to the scan path fails tests instead of
-    silently costing 27×). *)
+    {!scan_count} (the suites assert that counter stays 0, so a
+    regression to the scan path fails tests instead of silently costing
+    27×). *)
 val probe : t -> col:int -> value:Value.t -> (Tuple.t * int) list
+
+(** [extend t view partial] — one delta join leg (the paper's
+    [ComputeJoin(ΔV, R_j)]): [partial] joined with this table at
+    position {!source}. Probes the persistent join-column indexes
+    ({!Algebra.extend_with_probe}); a cross-product junction, which has
+    no equality to probe, falls back to {!Algebra.extend} over the
+    whole relation. [partial] must be adjacent to this position. *)
+val extend : t -> View_def.t -> Partial.t -> Partial.t
 
 (** Probes on this table that found no index and degraded to a scan.
     Per table — no process-global state — so the harness sums the

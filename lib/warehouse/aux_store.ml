@@ -23,7 +23,6 @@ type index = (Value.t, (Tuple.t, int) Hashtbl.t) Hashtbl.t
 
 type t = {
   mode : mode;
-  strategy : Join_strategy.t;
   view : View_def.t option;
   tracked : int array array;
   (* required ⊆ tracked, per source: the leg against that source can be
@@ -40,9 +39,8 @@ type t = {
 }
 
 let off () =
-  { mode = Off; strategy = Join_strategy.default; view = None; tracked = [||];
-    answerable = [||]; widths = [||]; projs = [||]; genesis = [||];
-    indexes = [||] }
+  { mode = Off; view = None; tracked = [||]; answerable = [||];
+    widths = [||]; projs = [||]; genesis = [||]; indexes = [||] }
 
 let index_add (idx : index) pt pos count =
   let v = Tuple.get pt pos in
@@ -115,7 +113,7 @@ let rebuild_index t j =
       Bag.iter (fun pt c -> index_add idx pt pos c) t.projs.(j))
     t.indexes.(j)
 
-let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
+let create ~view ~mode ~initial () =
   match mode with
   | Off -> off ()
   | _ ->
@@ -157,7 +155,7 @@ let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
               (List.sort_uniq compare (localize view j jcols)))
       in
       let t =
-        { mode; strategy; view = Some view; tracked; answerable; widths;
+        { mode; view = Some view; tracked; answerable; widths;
           projs =
             Array.init n (fun j -> project_relation initial.(j) tracked.(j));
           genesis =
@@ -170,7 +168,6 @@ let create ~view ~mode ?(strategy = Join_strategy.default) ~initial () =
       t
 
 let mode t = t.mode
-let strategy t = t.strategy
 let tracked t j = if t.mode = Off then [||] else t.tracked.(j)
 let answers t j = t.mode <> Off && t.answerable.(j)
 
@@ -200,9 +197,9 @@ let lift t j proj =
   Bag.iter (fun pt c -> Bag.add lifted (lift_one t j pt) c) proj;
   lifted
 
-(* The original execution: copy the whole projection, merge the overlay,
-   lift, hash-join — O(|projection|) allocation per leg. Kept as the
-   Pairwise strategy and the fallback for cross-product junctions. *)
+(* The fallback for a cross-product junction, which has no equality to
+   probe: copy the whole projection, merge the overlay, lift, hash-join
+   — O(|projection|) allocation per leg. Every other leg probes. *)
 let pairwise_answer t view j ~partial ~overlay =
   let proj = Bag.copy t.projs.(j) in
   Delta.iter
@@ -244,15 +241,12 @@ let local_answer t ~target ~partial ~overlay =
   else begin
     let view = Option.get t.view in
     let j = target in
-    match t.strategy with
-    | Join_strategy.Pairwise -> Some (pairwise_answer t view j ~partial ~overlay)
-    | Join_strategy.Probe -> (
-        match
-          Algebra.extend_with_probe view partial ~source:j
-            ~probe:(indexed_probe t j ~overlay)
-        with
-        | Some answer -> Some answer
-        | None -> Some (pairwise_answer t view j ~partial ~overlay))
+    match
+      Algebra.extend_with_probe view partial ~source:j
+        ~probe:(indexed_probe t j ~overlay)
+    with
+    | Some answer -> Some answer
+    | None -> Some (pairwise_answer t view j ~partial ~overlay)
   end
 
 let snapshot t =

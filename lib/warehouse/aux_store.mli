@@ -45,22 +45,15 @@ type t
     the default for nodes created without auxiliary state. *)
 val off : unit -> t
 
-(** [create ~view ~mode ?strategy ~initial ()] projects the initial base
+(** [create ~view ~mode ~initial ()] projects the initial base
     relations. [initial.(j)] must be source [j]'s relation at warehouse
     genesis (the state [init] the initial view was computed from).
-    [strategy] (default {!Join_strategy.default}) selects how
-    {!local_answer} executes its leg: [Probe] probes persistent
-    hash indexes kept on every projected join column; [Pairwise] copies
-    the projection and hash-joins (the pre-index execution). All
-    strategies return bit-identical answers. *)
+    {!local_answer} probes persistent hash indexes kept on every
+    projected join column. *)
 val create :
-  view:View_def.t -> mode:mode -> ?strategy:Join_strategy.t ->
-  initial:Relation.t array -> unit -> t
+  view:View_def.t -> mode:mode -> initial:Relation.t array -> unit -> t
 
 val mode : t -> mode
-
-(** The join execution strategy {!local_answer} uses. *)
-val strategy : t -> Join_strategy.t
 
 (** Tracked local columns of source [j] (sorted; [[||]] when off). *)
 val tracked : t -> int -> int array
@@ -75,7 +68,10 @@ val apply : t -> source:int -> Delta.t -> unit
 
 (** [local_answer t ~target ~partial ~overlay] answers the sweep leg
     joining [partial] with source [target] from the projection, or
-    returns [None] when the leg is not locally answerable. [overlay] is
+    returns [None] when the leg is not locally answerable. The leg
+    probes the projection's join-column indexes; a cross-product
+    junction, which has no equality to probe, hash-joins a copy of the
+    whole projection instead. [overlay] is
     the sum of delivered-but-uninstalled deltas of [target] that the
     remote path would observe (net of compensation); pass
     [Delta.empty ()] when the remote path would see exactly the

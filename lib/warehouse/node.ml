@@ -37,7 +37,6 @@ type t = {
   mutable rev_installs : install_record list;
   mutable rev_deliveries : Message.update list;
   mutable rev_listeners : (Delta.t -> unit) list;  (* newest first *)
-  mutable rev_incorporate_listeners : (int -> unit) list;
   mutable rev_delivery_listeners : (Message.update -> unit) list;
   mutable rev_install_txn_listeners : (Message.txn_id list -> unit) list;
 }
@@ -124,9 +123,6 @@ let wire t =
             view_after = Bag.copy t.data; negative }
           :: t.rev_installs;
       List.iter (fun f -> f delta) (List.rev t.rev_listeners);
-      List.iter
-        (fun f -> f (List.length txns))
-        (List.rev t.rev_incorporate_listeners);
       (match t.rev_install_txn_listeners with
       | [] -> ()
       | ls ->
@@ -174,8 +170,7 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
       record_history; trace; obs; store = durability; breaker; aux; stall_cap;
       next_qid = 0; replaying = false; replay_installs = Queue.create ();
       algo = None; rev_installs = []; rev_deliveries = []; rev_listeners = [];
-      rev_incorporate_listeners = []; rev_delivery_listeners = [];
-      rev_install_txn_listeners = [] }
+      rev_delivery_listeners = []; rev_install_txn_listeners = [] }
   in
   t.algo <- Some (Algorithm.instantiate algorithm (wire t));
   wire_breaker t;
@@ -354,9 +349,6 @@ let checkpoint t ~wal_pos ~recv_expected ~senders : Checkpoint.t =
 (* prepend (O(1) per registration); install reverses so listeners still
    fire in registration order *)
 let add_install_listener t f = t.rev_listeners <- f :: t.rev_listeners
-
-let add_incorporate_listener t f =
-  t.rev_incorporate_listeners <- f :: t.rev_incorporate_listeners
 
 let add_delivery_listener t f =
   t.rev_delivery_listeners <- f :: t.rev_delivery_listeners

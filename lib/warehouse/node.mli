@@ -113,19 +113,15 @@ val checkpoint :
     derivations such as {!Aggregate}. Not fired during replay. *)
 val add_install_listener : t -> (Delta.t -> unit) -> unit
 
-(** [add_incorporate_listener t f] calls [f n] after every install that
-    incorporated [n] update transactions — the backpressure layer's
-    token-release hook. Not fired during replay. *)
-val add_incorporate_listener : t -> (int -> unit) -> unit
-
 (** [add_delivery_listener t f] calls [f update] when an update notice is
     delivered (acknowledged) into the warehouse queue — the serving
     tier's staleness feed. Not fired during replay. *)
 val add_delivery_listener : t -> (Message.update -> unit) -> unit
 
 (** [add_install_txns_listener t f] calls [f txns] after every install
-    with the transaction ids it incorporated — the serving tier's
-    catch-up feed. Not fired during replay. *)
+    with the transaction ids it incorporated — the backpressure layer's
+    token release and the serving tier's catch-up feed. Not fired
+    during replay. *)
 val add_install_txns_listener : t -> (Message.txn_id list -> unit) -> unit
 
 (** Current materialized view contents (live; treat as read-only). *)

@@ -33,6 +33,15 @@ let verdict =
 
 let final_view outcome = Node.view_contents outcome.node
 
+(* The sources at t=0 of [Experiment.run sc], drawn exactly as it draws
+   them: the first split of the engine's generator populates the chain.
+   Callers check the result against the node's initial view. *)
+let initial_sources (sc : Scenario.t) view =
+  let engine = Repro_sim.Engine.create ~seed:sc.Scenario.seed () in
+  Repro_workload.Chain.populate view ~size:sc.Scenario.init_size
+    ~domain:sc.Scenario.domain
+    (Repro_sim.Rng.split (Repro_sim.Engine.rng engine))
+
 (* ————— seeded storm scaffolding ————— *)
 
 (* The seeded property suites (chaos, serving, aux) share one shape: an

@@ -33,14 +33,6 @@ open Repro_workload
 
 let checker_seeds = Rig.seeds_env ~var:"CHECKER_SEEDS" ~default:5
 
-(* The sources at t=0, drawn exactly as [Experiment.run] draws them: the
-   first split of the engine's generator populates the chain. The caller
-   checks the result against the node's initial view. *)
-let initial_sources (sc : Scenario.t) view =
-  let engine = Engine.create ~seed:sc.Scenario.seed () in
-  Chain.populate view ~size:sc.Scenario.init_size ~domain:sc.Scenario.domain
-    (Rng.split (Engine.rng engine))
-
 (* Run [name] on [sc], grade the captured history with both checkers and
    demand identical results; returns the verdict. *)
 let differential ?(max_events = 400_000) ?degraded ~ctx (sc : Scenario.t)
@@ -68,7 +60,7 @@ let differential ?(max_events = 400_000) ?degraded ~ctx (sc : Scenario.t)
   in
   let r = Experiment.run ~max_events ~on_node sc alg in
   let view = Chain.view ~n:sc.Scenario.n_sources () in
-  let initial = initial_sources sc view in
+  let initial = Rig.initial_sources sc view in
   Alcotest.check Rig.bag (ctx ^ ": regenerated sources give the initial view")
     !initial_view
     (Relation.as_bag (Algebra.eval view (fun i -> initial.(i))));

@@ -1,55 +1,38 @@
-(* Join-strategy differential suite (DESIGN.md §15).
+(* Indexed join-leg suite (DESIGN.md §15).
 
-   The two executions of a delta join leg — pairwise (generic hash
-   join) and probe (persistent per-column indexes) — must be
-   observationally indistinguishable: same final view bag, same event count, same sim
-   time, same verdict, same message counters; only the work per leg
-   differs. The suite proves it with unit equivalences over the edge
-   cases (empty deltas, Null join columns, self-join-shaped specs,
-   residuals), then seeded end-to-end storms over the sweep-family
-   algorithms, including crash and outage schedules.
+   Every delta join leg — at a source, at the centralized ECA site and
+   in the warehouse's aux store — probes a persistent per-column index
+   (Algebra.extend_with_probe); only a cross-product junction, which has
+   no equality to probe, falls back to the generic hash join
+   (Algebra.extend). The suite pins that one execution three ways:
 
-   It also pins the indexed-by-default contract: every default-strategy
-   run ends with [unindexed_scans = 0] — a probe that silently degraded
-   to an O(n) scan fails the suite instead of costing 27×.
+   - leg equivalence: the probe path equals the hash join over the edge
+     cases (empty deltas, Null join columns, self-join-shaped specs,
+     residuals) and over randomized legs;
+   - the cross-product fallback: a residual-only junction answers the
+     same through Base_table.extend (source and ECA site) and
+     Aux_store.local_answer, and a scripted SWEEP over it is Complete;
+   - end to end: seeded sweep-family runs, including crash and outage
+     schedules, drain at their algorithm's consistency floor, end on
+     the from-scratch Algebra.eval of the final sources, and never
+     degrade a probe to an unindexed scan — a probe that silently
+     became an O(n) scan fails the suite instead of costing 27×.
 
    Seed count comes from JOIN_SEEDS (default 5 so `dune runtest` stays
    fast; `make joins` raises it to 100). *)
 
 open Repro_relational
 open Repro_sim
+open Repro_protocol
 open Repro_warehouse
 open Repro_consistency
 open Repro_harness
 open Repro_workload
 module Base_table = Repro_source.Base_table
+module Source_node = Repro_source.Source_node
+module Eca_site = Repro_source.Eca_site
 
 let join_seeds = Rig.seeds_env ~var:"JOIN_SEEDS" ~default:5
-
-(* ————— strategy parsing ————— *)
-
-let test_strategy_strings () =
-  List.iter
-    (fun (s, j) ->
-      Alcotest.(check bool) (Printf.sprintf "parse %S" s) true
-        (Join_strategy.of_string s = Some j))
-    [ ("pairwise", Join_strategy.Pairwise); ("scan", Join_strategy.Pairwise);
-      ("hash", Join_strategy.Pairwise); ("probe", Join_strategy.Probe);
-      ("index", Join_strategy.Probe); ("indexed", Join_strategy.Probe) ];
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
-        (Join_strategy.of_string s = None))
-    [ "bogus"; "trie"; "leapfrog" ];
-  List.iter
-    (fun j ->
-      Alcotest.(check bool)
-        (Printf.sprintf "round trip %s" (Join_strategy.to_string j))
-        true
-        (Join_strategy.of_string (Join_strategy.to_string j) = Some j))
-    Join_strategy.all;
-  Alcotest.(check bool) "probe is the default" true
-    (Join_strategy.default = Join_strategy.Probe)
 
 (* ————— leg equivalence: extend ≡ extend_with_probe ————— *)
 
@@ -66,7 +49,7 @@ let check_leg_equivalence ~ctx view partial ~source r_src =
   with
   | None -> Alcotest.fail (ctx ^ ": probe path declined an equality junction")
   | Some p ->
-      Alcotest.(check bool) (ctx ^ ": probe ≡ pairwise") true
+      Alcotest.(check bool) (ctx ^ ": probe ≡ hash join") true
         (Partial.equal p generic)
 
 let test_leg_edge_cases () =
@@ -119,25 +102,21 @@ let test_leg_edge_cases () =
 (* Randomized leg equivalence: dense and sparse key overlap, deletions
    in the frontier (negative counts), multiplicities. *)
 let check_leg_random seed =
-  let rng = Repro_sim.Rng.create (Int64.of_int (7000 + seed)) in
+  let rng = Rng.create (Int64.of_int (7000 + seed)) in
   let rand_rel n domain =
     Relation.of_list
       (List.init n (fun k ->
-           ( Chain.tuple ~key:k
-               ~a:(Repro_sim.Rng.int rng domain)
-               ~b:(Repro_sim.Rng.int rng domain),
-             1 + Repro_sim.Rng.int rng 2 )))
+           ( Chain.tuple ~key:k ~a:(Rng.int rng domain) ~b:(Rng.int rng domain),
+             1 + Rng.int rng 2 )))
   in
-  let r_src = rand_rel (8 + Repro_sim.Rng.int rng 20) 5 in
+  let r_src = rand_rel (8 + Rng.int rng 20) 5 in
   let frontier =
     Delta.of_list
       (List.init
-         (1 + Repro_sim.Rng.int rng 4)
+         (1 + Rng.int rng 4)
          (fun k ->
-           ( Chain.tuple ~key:(100 + k)
-               ~a:(Repro_sim.Rng.int rng 5)
-               ~b:(Repro_sim.Rng.int rng 5),
-             if Repro_sim.Rng.bool rng 0.3 then -1 else 1 )))
+           ( Chain.tuple ~key:(100 + k) ~a:(Rng.int rng 5) ~b:(Rng.int rng 5),
+             if Rng.bool rng 0.3 then -1 else 1 )))
   in
   let partial = { Partial.lo = 1; hi = 1; data = frontier } in
   check_leg_equivalence
@@ -149,13 +128,158 @@ let check_leg_random seed =
 
 let leg_random_case () = Rig.for_seeds join_seeds check_leg_random
 
-(* ————— end-to-end: strategies are observationally identical ————— *)
+(* ————— the cross-product fallback through the shared leg ————— *)
 
+(* R0.b = R1.a, then a residual-only junction R1.b < R2.a: it has no
+   equality to probe, so every leg across it takes the hash-join
+   fallback while legs across the first junction still probe. *)
+let theta_view =
+  View_def.make ~name:"theta" ~schemas:(Chain.schemas ~n:3)
+    ~joins:
+      [| Join_spec.natural ~left_attr:2 ~right_attr:4;
+         Join_spec.make
+           ~residual:
+             (Predicate.Cmp (Predicate.Lt, Predicate.Attr 5, Predicate.Attr 7))
+           [] |]
+    ~projection:[| 0; 3; 6 |] ()
+
+let theta_row i k = Chain.tuple ~key:k ~a:((k + i) mod 3) ~b:(k mod 3)
+
+let theta_initial () =
+  Array.init 3 (fun i -> Relation.of_tuples (List.init 4 (theta_row i)))
+
+(* [p] carried to view tuples: hash-joined with the base relations it
+   does not span yet, then selected and projected. *)
+let through_view rels (p : Partial.t) =
+  let extend p j = Algebra.extend theta_view p ~with_relation:(j, rels.(j)) in
+  let rec widen (p : Partial.t) =
+    if p.lo > 0 then widen (extend p (p.lo - 1))
+    else if p.hi < 2 then widen (extend p (p.hi + 1))
+    else p
+  in
+  Algebra.select_project theta_view (widen p)
+
+(* The answer every execution of leg [partial ⋈ R_target] must give. *)
+let check_fallback_leg ~ctx rels partial ~target =
+  let view = theta_view in
+  let expected =
+    Algebra.extend view partial ~with_relation:(target, rels.(target))
+  in
+  let same what got =
+    Alcotest.(check bool) (Printf.sprintf "%s: %s ≡ hash join" ctx what) true
+      (Partial.equal expected got)
+  in
+  Alcotest.(check bool) (ctx ^ ": the junction has no equality to probe") true
+    (Algebra.extend_with_probe view partial ~source:target
+       ~probe:(fun ~col:_ ~value:_ -> Alcotest.fail "probed a cross product")
+    = None);
+  let tbl = Base_table.create ~source:target ~view rels.(target) in
+  same "Base_table.extend" (Base_table.extend tbl view partial);
+  Alcotest.(check int) (ctx ^ ": the fallback never probes") 0
+    (Base_table.scan_count tbl);
+  (* the source's and the ECA site's sweep-query service *)
+  let engine = Engine.create ~seed:1L () in
+  let trace = Trace.create ~enabled:false () in
+  let answered = ref None in
+  let send = function
+    | Message.Answer { partial; _ } -> answered := Some partial
+    | _ -> Alcotest.fail (ctx ^ ": expected a sweep answer")
+  in
+  let query = Message.Sweep_query { qid = 0; target; partial } in
+  let served () =
+    match !answered with
+    | Some p -> answered := None; p
+    | None -> Alcotest.fail (ctx ^ ": no answer sent")
+  in
+  Source_node.handle
+    (Source_node.create engine ~view ~id:target ~init:rels.(target) ~send
+       ~trace)
+    query;
+  same "source node" (served ());
+  Eca_site.handle (Eca_site.create engine ~view ~inits:rels ~send ~trace) query;
+  same "ECA site" (served ());
+  (* the warehouse's local answer from full aux projections; it lifts
+     untracked columns as Null placeholders, so it is compared where
+     those are discarded, after the view's projection *)
+  let aux = Aux_store.create ~view ~mode:Aux_store.Full ~initial:rels () in
+  match
+    Aux_store.local_answer aux ~target ~partial ~overlay:(Delta.empty ())
+  with
+  | Some got ->
+      Alcotest.(check bool)
+        (ctx ^ ": Aux_store.local_answer ≡ hash join, projected")
+        true
+        (Delta.equal (through_view rels expected) (through_view rels got))
+  | None -> Alcotest.fail (ctx ^ ": full aux left the leg remote")
+
+let test_fallback_legs () =
+  let rels = theta_initial () in
+  let d1 =
+    Delta.of_list [ (Chain.tuple ~key:9 ~a:1 ~b:0, 1); (theta_row 1 2, -1) ]
+  in
+  let d2 =
+    Delta.of_list [ (Chain.tuple ~key:9 ~a:2 ~b:1, 1); (theta_row 2 0, -1) ]
+  in
+  (* rightward across the cross product: [R0 ⋈ ΔR1] extended by R2 *)
+  let left_pair =
+    Algebra.extend theta_view (Partial.of_source_delta theta_view 1 d1)
+      ~with_relation:(0, rels.(0))
+  in
+  check_fallback_leg ~ctx:"rightward leg" rels left_pair ~target:2;
+  (* leftward across the cross product: ΔR2 extended by R1 *)
+  check_fallback_leg ~ctx:"leftward leg" rels
+    (Partial.of_source_delta theta_view 2 d2) ~target:1;
+  (* an ECA query term pinned at R2 fans out through both junctions *)
+  let site =
+    Eca_site.create (Engine.create ~seed:1L ()) ~view:theta_view ~inits:rels
+      ~send:ignore ~trace:(Trace.create ~enabled:false ())
+  in
+  let pinned = Partial.of_source_delta theta_view 2 d2 in
+  let expected =
+    Algebra.extend theta_view
+      (Algebra.extend theta_view pinned ~with_relation:(1, rels.(1)))
+      ~with_relation:(0, rels.(0))
+  in
+  Alcotest.(check bool) "ECA term across the cross product ≡ hash joins" true
+    (Partial.equal expected (Eca_site.eval_terms site [ [ (2, d2) ] ]))
+
+(* Interleaved inserts and deletes at every source, closer together
+   than a round trip, so legs across the cross product run against
+   relations that changed under them and must be compensated. *)
+let theta_updates =
+  [ (0.0, 0, Delta.insertion (Chain.tuple ~key:10 ~a:1 ~b:2));
+    (0.3, 2, Delta.insertion (Chain.tuple ~key:11 ~a:2 ~b:0));
+    (0.6, 1, Delta.deletion (theta_row 1 1));
+    (0.9, 2, Delta.deletion (theta_row 2 0));
+    (1.2, 1, Delta.insertion (Chain.tuple ~key:12 ~a:2 ~b:0));
+    (1.5, 0, Delta.deletion (theta_row 0 3));
+    (1.8, 1, Delta.insertion (Chain.tuple ~key:13 ~a:0 ~b:1)) ]
+
+let test_fallback_sweep () =
+  List.iter
+    (fun aux_mode ->
+      let outcome =
+        Experiment.run_scripted ~trace_enabled:false ~aux_mode
+          ~algorithm:(module Sweep : Algorithm.S)
+          ~view:theta_view ~initial:(theta_initial ()) ~updates:theta_updates
+          ()
+      in
+      let ctx = "aux " ^ Aux_store.mode_to_string aux_mode in
+      Alcotest.check Rig.verdict (ctx ^ ": SWEEP is complete") Checker.Complete
+        (Experiment.check_scripted outcome).Checker.verdict;
+      Alcotest.(check int) (ctx ^ ": every update incorporated")
+        (List.length theta_updates)
+        (Node.metrics outcome.Experiment.node).Metrics.updates_incorporated)
+    [ Aux_store.Off; Aux_store.Full ]
+
+(* ————— end to end: drained at the floor, on the oracle, no scans ————— *)
+
+(* name, algorithm, consistency floor on fault-free and crash runs *)
 let algorithms =
-  [ ("sweep", (module Sweep : Algorithm.S));
-    ("sweep-batched", (module Sweep_batched : Algorithm.S));
-    ("nested-sweep", (module Nested_sweep : Algorithm.S));
-    ("strobe", (module Strobe : Algorithm.S)) ]
+  [ ("sweep", (module Sweep : Algorithm.S), Checker.Complete);
+    ("sweep-batched", (module Sweep_batched : Algorithm.S), Checker.Complete);
+    ("nested-sweep", (module Nested_sweep : Algorithm.S), Checker.Strong);
+    ("strobe", (module Strobe : Algorithm.S), Checker.Strong) ]
 
 let base_scenario seed =
   { Scenario.default with
@@ -189,56 +313,69 @@ let outage sc =
         crashes = [ { Fault.source = 1; down_at = 8.; up_at = 20. } ];
         wh_crashes = [] } }
 
-(* Run [sc] under the probe strategy and demand full observational
-   identity with the pairwise reference: view, events, sim time,
-   verdict, message counters. Default-strategy runs must additionally
-   never degrade to an unindexed scan. *)
-let check_strategies ~tag algo sc =
-  let run strategy =
-    Experiment.run { sc with Scenario.join_strategy = strategy } algo
+(* Run [sc] and demand: it drains at [floor] or better, no probe
+   degraded to an unindexed scan, and the final view equals the
+   from-scratch [Algebra.eval] of the final sources — the checker's
+   convergence oracle, recomputed here from the regenerated initial
+   sources plus every delivered update. Deliveries are captured by a
+   listener, which survives warehouse crash recovery (the node itself
+   is replaced) and stays silent during WAL replay. *)
+let check_run ~ctx ~floor algo (sc : Scenario.t) =
+  let initial_view = ref (Bag.create ()) in
+  let rev_deliveries = ref [] in
+  let on_node node =
+    initial_view := Bag.copy (Node.initial_view node);
+    Node.add_delivery_listener node (fun u ->
+        rev_deliveries := u :: !rev_deliveries)
   in
-  let ref_run = run Join_strategy.Pairwise in
-  Alcotest.(check bool) (tag ^ ": pairwise run drains") true
-    ref_run.Experiment.completed;
-  let ctx = tag ^ " probe" in
-  let r = run Join_strategy.Probe in
-  Alcotest.check Rig.bag (ctx ^ ": final view ≡ pairwise")
-    ref_run.Experiment.final_view r.Experiment.final_view;
-  Alcotest.(check int) (ctx ^ ": same events")
-    ref_run.Experiment.events r.Experiment.events;
-  Alcotest.(check (float 0.)) (ctx ^ ": same sim time")
-    ref_run.Experiment.sim_time r.Experiment.sim_time;
-  Alcotest.check Rig.verdict (ctx ^ ": same verdict")
-    ref_run.Experiment.verdict.Checker.verdict
-    r.Experiment.verdict.Checker.verdict;
-  Alcotest.(check int) (ctx ^ ": same queries sent")
-    ref_run.Experiment.metrics.Metrics.queries_sent
-    r.Experiment.metrics.Metrics.queries_sent;
+  let r = Experiment.run ~on_node sc algo in
+  Alcotest.(check bool) (ctx ^ ": run drains") true r.Experiment.completed;
+  let v = r.Experiment.verdict.Checker.verdict in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: verdict at least %s (got %s)" ctx
+       (Checker.verdict_to_string floor)
+       (Checker.verdict_to_string v))
+    true
+    (Checker.compare_verdict v floor <= 0);
   Alcotest.(check int) (ctx ^ ": no probe degraded to a scan") 0
-    r.Experiment.metrics.Metrics.unindexed_scans
+    r.Experiment.metrics.Metrics.unindexed_scans;
+  let view = Chain.view ~n:sc.Scenario.n_sources () in
+  let sources = Rig.initial_sources sc view in
+  let oracle () = Relation.as_bag (Algebra.eval view (fun i -> sources.(i))) in
+  Alcotest.check Rig.bag (ctx ^ ": regenerated sources give the initial view")
+    !initial_view (oracle ());
+  List.iter
+    (fun (u : Message.update) ->
+      match Relation.apply sources.(u.txn.Message.source) u.delta with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail (ctx ^ ": a delivered delete has no tuple"))
+    (List.rev !rev_deliveries);
+  Alcotest.check Rig.bag (ctx ^ ": final view ≡ Algebra.eval oracle")
+    (oracle ()) r.Experiment.final_view
 
-let check_differential ~tag algo seed =
+let check_seed ~tag ~floor algo seed =
   let sc = base_scenario seed in
-  check_strategies ~tag:(Printf.sprintf "%s seed %d" tag seed) algo sc;
-  check_strategies ~tag:(Printf.sprintf "%s seed %d crash" tag seed) algo
-    (crashy sc);
-  check_strategies ~tag:(Printf.sprintf "%s seed %d outage" tag seed) algo
-    (outage sc)
+  let ctx what = Printf.sprintf "%s seed %d%s" tag seed what in
+  check_run ~ctx:(ctx "") ~floor algo sc;
+  check_run ~ctx:(ctx " crash") ~floor algo (crashy sc);
+  (* the chaos suite's floor: parked legs replay after the outage *)
+  check_run ~ctx:(ctx " outage") ~floor:Checker.Strong algo (outage sc)
 
-let diff_case ~tag algo () = Rig.for_seeds join_seeds (check_differential ~tag algo)
+let seeds_case ~tag ~floor algo () =
+  Rig.for_seeds join_seeds (check_seed ~tag ~floor algo)
 
-(* ————— indexed-by-default: presets never scan ————— *)
+(* ————— indexed by default: presets never scan ————— *)
 
-let test_default_never_scans () =
+let test_presets_never_scan () =
   List.iter
     (fun preset ->
       let sc = Option.get (Scenario.find_preset preset) in
       let algo = Option.get (Experiment.algorithm_by_name "sweep") in
       let r = Experiment.run sc algo in
       Alcotest.(check int)
-        (Printf.sprintf "%s: default strategy never scans" preset)
+        (Printf.sprintf "%s: indexed legs never scan" preset)
         0 r.Experiment.metrics.Metrics.unindexed_scans;
-      (* ECA's centralized site routes through the same dispatch *)
+      (* ECA's centralized site runs the same leg *)
       if preset = "centralized" then begin
         let eca = Option.get (Experiment.algorithm_by_name "eca") in
         let r = Experiment.run sc eca in
@@ -248,18 +385,17 @@ let test_default_never_scans () =
     [ "sequential"; "concurrent"; "centralized"; "self-maint" ]
 
 let suite =
-  [ Alcotest.test_case "strategy: parse and print" `Quick
-      test_strategy_strings;
-    Alcotest.test_case "leg equivalence: edge cases" `Quick
+  [ Alcotest.test_case "leg equivalence: edge cases" `Quick
       test_leg_edge_cases;
     Alcotest.test_case "leg equivalence: randomized" `Slow leg_random_case;
-    Alcotest.test_case "presets: default strategy never scans" `Slow
-      test_default_never_scans;
-    Alcotest.test_case "differential: sweep" `Slow
-      (diff_case ~tag:"sweep" (module Sweep : Algorithm.S));
-    Alcotest.test_case "differential: sweep-batched" `Slow
-      (diff_case ~tag:"sweep-batched" (module Sweep_batched : Algorithm.S));
-    Alcotest.test_case "differential: nested-sweep" `Slow
-      (diff_case ~tag:"nested-sweep" (module Nested_sweep : Algorithm.S));
-    Alcotest.test_case "differential: strobe" `Slow
-      (diff_case ~tag:"strobe" (module Strobe : Algorithm.S)) ]
+    Alcotest.test_case "cross-product fallback: legs" `Quick
+      test_fallback_legs;
+    Alcotest.test_case "cross-product fallback: sweep" `Quick
+      test_fallback_sweep;
+    Alcotest.test_case "presets: indexed legs never scan" `Slow
+      test_presets_never_scan ]
+  @ List.map
+      (fun (tag, algo, floor) ->
+        Alcotest.test_case ("differential: " ^ tag) `Slow
+          (seeds_case ~tag ~floor algo))
+      algorithms
