@@ -65,8 +65,12 @@ aux:
 # (sweep, sweep-batched, nested-sweep, strobe) over plain, crash and
 # outage schedules, each run draining at its consistency floor, ending
 # on the from-scratch Algebra.eval oracle and never degrading a probe
-# to an unindexed scan; plus probe-vs-hash-join leg equivalences and the
-# cross-product fallback. `dune runtest` runs the same suite at 5 seeds.
+# to an unindexed scan; plus probe-vs-hash-join leg equivalences, the
+# cross-product fallback, and the interference-correction differential
+# (Update_queue.correct probing the queue's per-source index ≡
+# Delta.sum + Algebra.compensate, over 100 seeds of random partials,
+# cross-product junctions and batched extras that net to empty).
+# `dune runtest` runs the same suite at 5 seeds.
 joins:
 	JOIN_SEEDS=100 dune exec test/test_main.exe -- test join-strategies
 

@@ -32,42 +32,26 @@ type result = { verdict : verdict; detail : string; states_checked : int }
 
 (* ————— replicas: the checker's own indexed copy of every source ————— *)
 
-(* Per-column hash index: join value -> bucket of tuples with their
-   multiplicities. Deliberately not [Base_table]'s: the oracle shares no
-   index code with the source layer it grades. *)
-type index = (Value.t, Bag.t) Hashtbl.t
-
 type replica = {
   rel : Relation.t;
-  mutable indexes : (int * index) list;
+  mutable indexes : Col_index.t list;
       (* built the first time a column is probed, then kept exact on
          every replayed ΔRi *)
 }
 
-let index_add (idx : index) col tup c =
-  let v = Tuple.get tup col in
-  match Hashtbl.find_opt idx v with
-  | Some bucket ->
-      Bag.add bucket tup c;
-      if Bag.is_empty bucket then Hashtbl.remove idx v
-  | None ->
-      let bucket = Bag.create ~initial_size:4 () in
-      Bag.add bucket tup c;
-      Hashtbl.replace idx v bucket
-
 let probe r ~col ~value =
   let idx =
-    match List.assoc_opt col r.indexes with
+    match Col_index.find r.indexes col with
     | Some idx -> idx
     | None ->
-        let idx = Hashtbl.create (max 16 (Relation.cardinal r.rel)) in
-        Relation.iter (fun tup c -> index_add idx col tup c) r.rel;
-        r.indexes <- (col, idx) :: r.indexes;
+        let idx =
+          Col_index.create ~initial_size:(max 16 (Relation.cardinal r.rel)) col
+        in
+        Col_index.add_bag idx (Relation.as_bag r.rel);
+        r.indexes <- idx :: r.indexes;
         idx
   in
-  match Hashtbl.find_opt idx value with
-  | None -> []
-  | Some bucket -> Bag.fold (fun tup c acc -> (tup, c) :: acc) bucket []
+  Col_index.probe idx value
 
 let apply_delta rel delta =
   match Relation.apply rel delta with
@@ -111,10 +95,7 @@ let replay_txn st (u : Message.update) =
   Bag.merge_into ~into:st.expected (Algebra.select_project st.view !partial);
   let r = st.replicas.(i) in
   apply_delta r.rel u.Message.delta;
-  List.iter
-    (fun (col, idx) ->
-      Delta.iter (fun tup c -> index_add idx col tup c) u.Message.delta)
-    r.indexes
+  List.iter (fun idx -> Col_index.add_bag idx u.Message.delta) r.indexes
 
 let expected_states view ~initial ~deliveries =
   let st = replay_start view initial in

@@ -81,38 +81,49 @@ let compensate view ~answer ~(interfering : Delta.t) ~(temp : Partial.t) =
   let error = if j < temp.lo then join view dp temp else join view temp dp in
   Partial.sub answer error
 
+(* Which side of [p] the adjacent [source] joins on. *)
+let side ~who (p : Partial.t) ~source =
+  if source = p.lo - 1 then `Left
+  else if source = p.hi + 1 then `Right
+  else
+    invalid_arg
+      (Printf.sprintf "Algebra.%s: source %d not adjacent to [%d..%d]" who
+         source p.lo p.hi)
+
+(* The join spec of that junction. *)
+let junction view (p : Partial.t) ~source = function
+  | `Left -> View_def.join_between view source
+  | `Right -> View_def.join_between view p.hi
+
+(* Each equality names one attribute in [source] and one inside [p], as
+   (source-local, p-local) columns. *)
+let local_equalities view (p : Partial.t) ~source dir eqs =
+  let src_ofs = View_def.offset view source in
+  let p_ofs = View_def.offset view p.lo in
+  List.map
+    (fun (lg, rg) ->
+      match dir with
+      | `Left -> (lg - src_ofs, rg - p_ofs)
+      | `Right -> (rg - src_ofs, lg - p_ofs))
+    eqs
+
+let probe_column view p ~source =
+  let dir = side ~who:"probe_column" p ~source in
+  let spec = junction view p ~source dir in
+  match local_equalities view p ~source dir spec.Join_spec.equalities with
+  | [] -> None
+  | (src_col, _) :: _ -> Some src_col
+
 let extend_with_probe view (p : Partial.t) ~source ~probe =
-  let dir =
-    if source = p.lo - 1 then `Left
-    else if source = p.hi + 1 then `Right
-    else
-      invalid_arg
-        (Printf.sprintf
-           "Algebra.extend_with_probe: source %d not adjacent to [%d..%d]"
-           source p.lo p.hi)
-  in
-  let spec =
-    match dir with
-    | `Left -> View_def.join_between view source
-    | `Right -> View_def.join_between view p.hi
-  in
-  match spec.Join_spec.equalities with
+  let dir = side ~who:"extend_with_probe" p ~source in
+  let spec = junction view p ~source dir in
+  match local_equalities view p ~source dir spec.Join_spec.equalities with
   | [] -> None (* cross-product junction: no column to probe on *)
-  | eqs ->
+  | (src_col, p_col) :: rest ->
+      (* the first equality drives the probe, the rest filter
+         candidates *)
       let src_ofs = View_def.offset view source in
       let p_ofs = View_def.offset view p.lo in
-      (* each equality names one attribute in [source] and one inside
-         [p]; the first drives the probe, the rest filter candidates *)
-      let local (lg, rg) =
-        match dir with
-        | `Left -> (lg - src_ofs, rg - p_ofs)
-        | `Right -> (rg - src_ofs, lg - p_ofs)
-      in
-      let (src_col, p_col), rest =
-        match List.map local eqs with
-        | first :: rest -> (first, rest)
-        | [] -> assert false
-      in
       let residual_ok stup ptup =
         match spec.Join_spec.residual with
         | None -> true

@@ -41,6 +41,12 @@ val extend_with_probe :
   probe:(col:int -> value:Value.t -> (Tuple.t * int) list) ->
   Partial.t option
 
+(** [probe_column view p ~source] is the source-local column
+    {!extend_with_probe} probes when extending [p] with [source]: the
+    [source] side of the junction's first equality. [None] for a
+    cross-product junction. *)
+val probe_column : View_def.t -> Partial.t -> source:int -> int option
+
 (** [merge_overlap view ~at ~left ~right] glues two partials that both end
     at source [at] ([left.hi = at = right.lo]): tuples whose [at]-slices
     are equal are concatenated (the duplicate slice kept once) and their

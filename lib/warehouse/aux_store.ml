@@ -15,12 +15,6 @@ let mode_of_string s =
   | "full" -> Some Full
   | _ -> None
 
-(* A per-column hash index over a source's projection: join value ->
-   (projected tuple -> multiplicity). Same shape as Base_table's source
-   indexes, maintained alongside [projs] so a local answer probes
-   instead of copying and hashing the whole projection per leg. *)
-type index = (Value.t, (Tuple.t, int) Hashtbl.t) Hashtbl.t
-
 type t = {
   mode : mode;
   view : View_def.t option;
@@ -31,33 +25,18 @@ type t = {
   widths : int array;
   projs : Bag.t array;
   genesis : Bag.t array;
-  (* per source: (local join column, its position in [tracked], index) —
-     derived from [projs], maintained by [apply], rebuilt by
-     [restore]/[reset]. Join columns are always tracked (both modes), so
-     every probe an answerable leg issues hits an index. *)
-  indexes : (int * int * index) list array;
+  (* per source: (local join column, index on its position in
+     [tracked]) — derived from [projs], maintained by [apply], rebuilt by
+     [restore]/[reset], so a local answer probes instead of copying and
+     hashing the whole projection per leg. Join columns are always
+     tracked (both modes), so every probe an answerable leg issues hits
+     an index. *)
+  indexes : (int * Col_index.t) list array;
 }
 
 let off () =
   { mode = Off; view = None; tracked = [||]; answerable = [||];
     widths = [||]; projs = [||]; genesis = [||]; indexes = [||] }
-
-let index_add (idx : index) pt pos count =
-  let v = Tuple.get pt pos in
-  let bucket =
-    match Hashtbl.find_opt idx v with
-    | Some b -> b
-    | None ->
-        let b = Hashtbl.create 4 in
-        Hashtbl.replace idx v b;
-        b
-  in
-  let c = Option.value ~default:0 (Hashtbl.find_opt bucket pt) + count in
-  if c = 0 then begin
-    Hashtbl.remove bucket pt;
-    if Hashtbl.length bucket = 0 then Hashtbl.remove idx v
-  end
-  else Hashtbl.replace bucket pt c
 
 (* Local columns of source [j] among a list of global attribute
    indices. *)
@@ -108,9 +87,9 @@ let project_relation rel cols =
 
 let rebuild_index t j =
   List.iter
-    (fun (_, pos, idx) ->
-      Hashtbl.reset idx;
-      Bag.iter (fun pt c -> index_add idx pt pos c) t.projs.(j))
+    (fun (_, idx) ->
+      Col_index.clear idx;
+      Col_index.add_bag idx t.projs.(j))
     t.indexes.(j)
 
 let create ~view ~mode ~initial () =
@@ -151,7 +130,7 @@ let create ~view ~mode ~initial () =
                   (fun k c -> if c = col then pos := k)
                   tracked.(j);
                 if !pos < 0 then None
-                else Some (col, !pos, (Hashtbl.create 64 : index)))
+                else Some (col, Col_index.create !pos))
               (List.sort_uniq compare (localize view j jcols)))
       in
       let t =
@@ -177,9 +156,7 @@ let apply t ~source delta =
       (fun tup c ->
         let pt = Tuple.project tup t.tracked.(source) in
         Bag.add t.projs.(source) pt c;
-        List.iter
-          (fun (_, pos, idx) -> index_add idx pt pos c)
-          t.indexes.(source))
+        List.iter (fun (_, idx) -> Col_index.add idx pt c) t.indexes.(source))
       delta
 
 (* Lift a projected tuple back to source width: tracked columns carry
@@ -215,12 +192,11 @@ let pairwise_answer t view j ~partial ~overlay =
    path would (cancellations included). *)
 let indexed_probe t j ~overlay ~col ~value =
   let rows =
-    match List.find_opt (fun (c, _, _) -> c = col) t.indexes.(j) with
-    | Some (_, _, idx) -> (
-        match Hashtbl.find_opt idx value with
-        | None -> []
-        | Some bucket ->
-            Hashtbl.fold (fun pt c acc -> (lift_one t j pt, c) :: acc) bucket [])
+    match List.assoc_opt col t.indexes.(j) with
+    | Some idx ->
+        Col_index.fold_probe
+          (fun pt c acc -> (lift_one t j pt, c) :: acc)
+          idx value []
     | None ->
         (* every column an answerable leg probes is a join column, and
            join columns are tracked and indexed in every mode *)

@@ -166,24 +166,17 @@ struct
         frame.outstanding <- -1;
         Obs.finish t.ctx.obs frame.leg;
         frame.leg <- Tracer.none;
-        let interfering = Update_queue.from_source t.ctx.queue j in
-        (match interfering with
-        | [] -> frame.dv <- partial
-        | _ :: _ ->
-            let merged =
-              Delta.sum
-                (List.map (fun e -> e.Update_queue.update.Message.delta)
-                   interfering)
-            in
+        (match Update_queue.count_from t.ctx.queue j with
+        | 0 -> frame.dv <- partial
+        | interfering ->
             t.ctx.metrics.Metrics.compensations <-
               t.ctx.metrics.Metrics.compensations + 1;
             if Obs.active t.ctx.obs then
               Obs.event t.ctx.obs ~span:frame.span "compensate"
-                [ ("source", Tracer.I j);
-                  ("interfering", Tracer.I (List.length interfering)) ];
+                [ ("source", Tracer.I j); ("interfering", Tracer.I interfering) ];
             frame.dv <-
-              Algebra.compensate t.ctx.view ~answer:partial ~interfering:merged
-                ~temp:frame.temp;
+              Update_queue.correct t.ctx.queue t.ctx.view ~source:j ~extras:[]
+                ~answer:partial ~temp:frame.temp;
             let depth = List.length t.stack in
             if depth >= t.max_depth then begin
               (* Forced termination (paper §6.2): behave like SWEEP — the
@@ -191,7 +184,7 @@ struct
               t.ctx.metrics.Metrics.fallbacks <-
                 t.ctx.metrics.Metrics.fallbacks + 1;
               trace t "depth limit: leaving %d update(s) from %d queued"
-                (List.length interfering) j;
+                interfering j;
               if Obs.active t.ctx.obs then
                 Obs.event t.ctx.obs ~span:frame.span "fallback"
                   [ ("source", Tracer.I j); ("depth", Tracer.I depth) ]

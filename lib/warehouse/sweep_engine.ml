@@ -101,22 +101,30 @@ let local t j = t.p.local_answers && Aux_store.answers t.ctx.Algorithm.aux j
 
 (* ————— degraded mode (DESIGN.md §12) ————— *)
 
-(* An update sweeps every other source, so it may start only while all
-   of them have closed breakers or are answered locally. *)
-let eligible t (e : Update_queue.entry) =
-  List.for_all
-    (fun j -> t.ctx.Algorithm.source_ok j || local t j)
-    (order ~n:(View_def.n_sources t.ctx.view) ~i:(source e))
+(* The sources a sweep cannot visit now, ascending: open breaker and no
+   local answer. A toplevel loop, so the common all-clear case
+   allocates nothing. *)
+let rec blocked t j acc =
+  if j < 0 then acc
+  else
+    blocked t (j - 1)
+      (if t.ctx.Algorithm.source_ok j || local t j then acc else j :: acc)
 
-(* Parked entries stay in the queue, visible to the interference scan: a
-   sweep that overtakes them still subtracts their effect, so each cross
-   term is counted once and replay-after-heal converges. Each parked
-   entry is counted in [stalled_updates] once (monotone arrival mark). *)
-let note_parked t =
+(* An update sweeps every other source, so it may start only while all
+   of them are visitable: every blocked source is its own. *)
+let eligible down (e : Update_queue.entry) =
+  List.for_all (fun j -> j = source e) down
+
+(* Parked entries stay in the queue, still counted and indexed as
+   interference: a sweep that overtakes them still subtracts their
+   effect, so each cross term is counted once and replay-after-heal
+   converges. Each parked entry is counted in [stalled_updates] once
+   (monotone arrival mark). *)
+let note_parked t down =
   let parked = ref 0 in
   List.iter
     (fun (e : Update_queue.entry) ->
-      if not (eligible t e) then begin
+      if not (eligible down e) then begin
         incr parked;
         if e.arrival > t.stall_mark then begin
           t.stall_mark <- e.arrival;
@@ -131,13 +139,20 @@ let note_parked t =
   !parked
 
 (* The next batch's entries: the oldest eligible ones while degraded,
-   falling back to blocking on the dead source at the stall cap. *)
+   falling back to blocking on the dead source at the stall cap. With
+   no source blocked nothing can park, so the queue is not scanned. *)
 let take t =
   let max = Option.value t.p.batch_max ~default:1 in
-  let parked = if parks t then note_parked t else 0 in
-  if parked = 0 || parked >= t.ctx.Algorithm.stall_cap then
-    Update_queue.take t.ctx.queue ~max
-  else Update_queue.take_eligible t.ctx.queue ~max ~eligible:(eligible t)
+  match
+    if parks t then blocked t (View_def.n_sources t.ctx.view - 1) [] else []
+  with
+  | [] -> Update_queue.take t.ctx.queue ~max
+  | down ->
+      let parked = note_parked t down in
+      if parked = 0 || parked >= t.ctx.Algorithm.stall_cap then
+        Update_queue.take t.ctx.queue ~max
+      else
+        Update_queue.take_eligible t.ctx.queue ~max ~eligible:(eligible down)
 
 (* ————— batches, legs and frames ————— *)
 
@@ -357,43 +372,48 @@ let rec later_from b j = function
 
 (* On-line error correction (paper §4, generalised as in the interface
    comment): subtract ΔR_j ⋈ TempView for every update reflected in the
-   answer that the frame must not see. *)
+   answer that the frame must not see — the batch's own D_j on a right
+   leg, later in-flight batches' updates from [j], and [j]'s queued
+   ones. *)
 let correct t b (f : frame) j partial =
-  let updates =
+  let later =
     if t.p.compensate then
-      later_from b j t.batches @ Update_queue.from_source t.ctx.queue j
+      List.map
+        (fun (e : Update_queue.entry) -> e.update.Message.delta)
+        (later_from b j t.batches)
     else []
   in
-  let own =
+  let queued =
+    if t.p.compensate then Update_queue.count_from t.ctx.queue j else 0
+  in
+  let extras =
     match List.assoc_opt j b.combined with
-    | Some d when t.p.compensate && j > f.src -> [ d ]
-    | _ -> []
+    | Some d when t.p.compensate && j > f.src -> d :: later
+    | _ -> later
   in
-  let parts =
-    own
-    @ List.map (fun (e : Update_queue.entry) -> e.update.Message.delta) updates
-  in
-  let interfering =
-    match parts with
-    | [] -> None
+  let interfering = List.length later + queued in
+  let none =
+    match extras with
+    | [] when queued = 0 -> true
     | _ ->
-        let d = Delta.sum parts in
         (* a batch sweeps net deltas, so a net-empty correction is none *)
-        if batched t && Delta.is_empty d then None else Some d
+        batched t
+        && Update_queue.interference_empty t.ctx.queue t.ctx.view ~source:j
+             ~extras ~temp:f.temp
   in
-  match interfering with
-  | None -> f.dv <- partial
-  | Some interfering ->
-      t.ctx.metrics.Metrics.compensations <-
-        t.ctx.metrics.Metrics.compensations + 1;
-      trace t "compensate answer from %d for %d interfering update(s)" j
-        (List.length updates);
-      if Obs.active t.ctx.obs then
-        Obs.event t.ctx.obs ~span:(parent b f) "compensate"
-          [ ("source", Tracer.I j);
-            ("interfering", Tracer.I (List.length updates)) ];
-      f.dv <-
-        Algebra.compensate t.ctx.view ~answer:partial ~interfering ~temp:f.temp
+  if none then f.dv <- partial
+  else begin
+    t.ctx.metrics.Metrics.compensations <-
+      t.ctx.metrics.Metrics.compensations + 1;
+    trace t "compensate answer from %d for %d interfering update(s)" j
+      interfering;
+    if Obs.active t.ctx.obs then
+      Obs.event t.ctx.obs ~span:(parent b f) "compensate"
+        [ ("source", Tracer.I j); ("interfering", Tracer.I interfering) ];
+    f.dv <-
+      Update_queue.correct t.ctx.queue t.ctx.view ~source:j ~extras
+        ~answer:partial ~temp:f.temp
+  end
 
 (* The in-flight frame waiting for answer [qid] from [j], with its
    batch. *)

@@ -12,6 +12,10 @@
    - the cross-product fallback: a residual-only junction answers the
      same through Base_table.extend (source and ECA site) and
      Aux_store.local_answer, and a scripted SWEEP over it is Complete;
+   - interference correction: Update_queue.correct, which probes the
+     queue's per-source index of queued deltas, equals Delta.sum +
+     Algebra.compensate on random partials, across an equality and a
+     cross-product junction, with batched extras that net to empty;
    - end to end: seeded sweep-family runs, including crash and outage
      schedules, drain at their algorithm's consistency floor, end on
      the from-scratch Algebra.eval of the final sources, and never
@@ -272,6 +276,94 @@ let test_fallback_sweep () =
         (Node.metrics outcome.Experiment.node).Metrics.updates_incorporated)
     [ Aux_store.Off; Aux_store.Full ]
 
+(* ————— interference correction: probe ≡ Delta.sum + compensate ————— *)
+
+(* A random tuple of the partial covering [lo..hi]: one chain tuple per
+   covered source, over a tiny domain so probes find matches. *)
+let random_partial rng ~lo ~hi =
+  let row () =
+    Chain.tuple ~key:(Rng.int rng 4) ~a:(Rng.int rng 3) ~b:(Rng.int rng 3)
+  in
+  let tuple () =
+    List.fold_left Tuple.concat (row ())
+      (List.init (hi - lo) (fun _ -> row ()))
+  in
+  { Partial.lo; hi;
+    data =
+      Delta.of_list
+        (List.init (Rng.int rng 4) (fun _ ->
+             (tuple (), if Rng.bool rng 0.3 then -1 else 1))) }
+
+let random_source_delta rng =
+  Delta.of_list
+    (List.init (1 + Rng.int rng 2) (fun _ ->
+         ( Chain.tuple ~key:(Rng.int rng 4) ~a:(Rng.int rng 3)
+             ~b:(Rng.int rng 3),
+           if Rng.bool rng 0.4 then -1 else 1 )))
+
+(* One seed: a queue that grows and drains between corrections, each
+   correction checked against the summed path on the chain view (every
+   junction probes) and on [theta_view] (R1–R2 is a cross product). The
+   extras — a batch's own D_j and later batches' updates — sometimes
+   negate exactly what is queued, so ΔR_j nets to empty. *)
+let check_correction_seed seed =
+  let rng = Rng.create (Int64.of_int (8300 + seed)) in
+  let q = Update_queue.create () and seq = ref 0 in
+  for round = 1 to 30 do
+    for _ = 0 to Rng.int rng 4 do
+      incr seq;
+      ignore
+        (Update_queue.append q
+           { Message.txn = { Message.source = Rng.int rng 3; seq = !seq };
+             delta = random_source_delta rng; occurred_at = 0.;
+             global = None }
+           ~arrived_at:0.)
+    done;
+    ignore (Update_queue.take q ~max:(Rng.int rng 3));
+    List.iter
+      (fun (name, view) ->
+        let j = Rng.int rng 3 in
+        let lo, hi =
+          match j with
+          | 0 -> (1, 1 + Rng.int rng 2)
+          | 2 -> (Rng.int rng 2, 1)
+          | _ -> if Rng.bool rng 0.5 then (0, 0) else (2, 2)
+        in
+        let temp = random_partial rng ~lo ~hi in
+        let answer =
+          random_partial rng ~lo:(min lo j) ~hi:(max hi j)
+        in
+        let queued =
+          List.filter_map
+            (fun (e : Update_queue.entry) ->
+              if e.update.Message.txn.Message.source = j then
+                Some e.update.Message.delta
+              else None)
+            (Update_queue.entries q)
+        in
+        let extras =
+          match Rng.int rng 3 with
+          | 0 -> []
+          | 1 -> [ random_source_delta rng ]
+          | _ -> [ Delta.negate (Delta.sum queued) ]
+        in
+        let ctx =
+          Printf.sprintf "seed %d round %d %s: ΔR%d ⋈ [%d..%d]" seed round
+            name j lo hi
+        in
+        let interfering = Delta.sum (extras @ queued) in
+        let expected = Algebra.compensate view ~answer ~interfering ~temp in
+        Alcotest.(check bool) (ctx ^ ": probe ≡ Delta.sum + compensate")
+          true
+          (Partial.equal expected
+             (Update_queue.correct q view ~source:j ~extras ~answer ~temp));
+        Alcotest.(check bool) (ctx ^ ": net-empty test") (Delta.is_empty interfering)
+          (Update_queue.interference_empty q view ~source:j ~extras ~temp))
+      [ ("chain", view3); ("theta", theta_view) ]
+  done
+
+let correction_case () = Rig.for_seeds join_seeds check_correction_seed
+
 (* ————— end to end: drained at the floor, on the oracle, no scans ————— *)
 
 (* name, algorithm, consistency floor on fault-free and crash runs *)
@@ -393,7 +485,9 @@ let suite =
     Alcotest.test_case "cross-product fallback: sweep" `Quick
       test_fallback_sweep;
     Alcotest.test_case "presets: indexed legs never scan" `Slow
-      test_presets_never_scan ]
+      test_presets_never_scan;
+    Alcotest.test_case "correction differential: randomized" `Quick
+      correction_case ]
   @ List.map
       (fun (tag, algo, floor) ->
         Alcotest.test_case ("differential: " ^ tag) `Slow
