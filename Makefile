@@ -32,9 +32,14 @@ lint-sarif:
 faults:
 	dune exec test/test_main.exe -- test faults
 
-# Warehouse crash-recovery suite only (WAL + checkpoint + restart).
+# Warehouse crash-recovery suite only (WAL + checkpoint + restart),
+# with the checkpoint-order differential at full depth: 100 seeds of
+# random installs, captures and recoveries (from genesis and from
+# checkpoints) on a node with a store, each capture's bytes equal to
+# the reference Codec.put_bag encoding of the same state. `dune
+# runtest` runs the same suite at 5 seeds.
 recover:
-	dune exec test/test_main.exe -- test recovery
+	RECOVER_SEEDS=100 dune exec test/test_main.exe -- test recovery
 
 # Composed chaos suite at full scale: 50 randomized Fault.chaos
 # schedules per algorithm (heavy link faults, overlapping source

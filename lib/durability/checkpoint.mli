@@ -20,7 +20,14 @@
       only records [wal_pos..].
 
     Checkpoints round-trip through {!encode}/{!decode} every time one is
-    taken, so serializability is exercised on every run that crashes. *)
+    taken, so serializability is exercised on every run that crashes.
+
+    The view is written in its canonical [Tuple.compare] order. A node
+    with a store keeps that order incrementally in an {!Order.t}: each
+    capture sorts only the tuples installs touched since the previous
+    one and splices them in, instead of sorting the whole view. The
+    bytes are identical to {!Codec.put_bag}'s, which sorts from
+    scratch. *)
 
 open Repro_relational
 
@@ -38,10 +45,32 @@ type queued = {
   arrived_at : float;
 }
 
+(** The canonical order of a bag (its view), maintained across captures. *)
+module Order : sig
+  type t
+
+  (** No order yet: the first {!refresh} sorts the whole bag. *)
+  val create : unit -> t
+
+  (** [touch o delta] notes the tuples an install of [delta] changes.
+      Every change to the bag between two refreshes must be touched. *)
+  val touch : t -> Delta.t -> unit
+
+  (** [refresh o bag] brings the order up to date with [bag]: it sorts
+      only the touched tuples and splices them in by binary search
+      (the whole bag only on the first call, or after more touches than
+      the bag has tuples). *)
+  val refresh : t -> Bag.t -> unit
+end
+
 type t = {
   taken_at : float;  (** sim time the checkpoint was taken *)
   wal_pos : int;  (** WAL records covered by this checkpoint *)
   view : Bag.t;
+  view_order : Order.t option;
+      (** [view]'s canonical order, refreshed at capture: {!put} writes
+          the view from it. [None] (as {!decode} returns) sorts [view]
+          through {!Codec.put_bag}; the bytes are the same. *)
   queue : queued list;
   queue_next_arrival : int;
   next_qid : int;

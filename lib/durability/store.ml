@@ -2,7 +2,10 @@ type t = {
   wal : Wal.t;
   checkpoint_every : int;
   mutable capture : (unit -> Checkpoint.t) option;
-  mutable latest : string option;
+  (* the latest checkpoint's bytes and the WAL position it covers *)
+  mutable latest : (string * int) option;
+  (* encoding scratch, reused so each checkpoint does not regrow it *)
+  buf : Buffer.t;
   mutable records_since : int;
   mutable checkpoints : int;
   mutable checkpoint_bytes : int;
@@ -11,7 +14,8 @@ type t = {
 let create ?(checkpoint_every = 8) () =
   if checkpoint_every < 0 then invalid_arg "Store.create: checkpoint_every < 0";
   { wal = Wal.create (); checkpoint_every; capture = None; latest = None;
-    records_since = 0; checkpoints = 0; checkpoint_bytes = 0 }
+    buf = Buffer.create 256; records_since = 0; checkpoints = 0;
+    checkpoint_bytes = 0 }
 
 let set_capture t f = t.capture <- Some f
 let wal_length t = Wal.length t.wal
@@ -27,11 +31,15 @@ let checkpoint_now t =
   match t.capture with
   | None -> invalid_arg "Store.checkpoint_now: no capture function set"
   | Some capture ->
-      (* encode immediately: the stored bytes are the durable artifact,
-         and decoding them (rather than keeping the live record) is what
-         recovery does — serializability is exercised on every cycle *)
-      let s = Checkpoint.encode (capture ()) in
-      t.latest <- Some s;
+      (* encode immediately: the captured record aliases live state, the
+         stored bytes are the durable artifact, and decoding them (rather
+         than keeping the live record) is what recovery does —
+         serializability is exercised on every cycle *)
+      let c = capture () in
+      Buffer.clear t.buf;
+      Checkpoint.put t.buf c;
+      let s = Buffer.contents t.buf in
+      t.latest <- Some (s, c.Checkpoint.wal_pos);
       t.checkpoints <- t.checkpoints + 1;
       t.checkpoint_bytes <- t.checkpoint_bytes + String.length s;
       t.records_since <- 0
@@ -43,12 +51,9 @@ let maybe_checkpoint t =
     && Option.is_some t.capture
   then checkpoint_now t
 
-let latest_checkpoint t = Option.map Checkpoint.decode t.latest
+let latest_checkpoint t =
+  Option.map (fun (s, _) -> Checkpoint.decode s) t.latest
 
 let tail t =
-  let from =
-    match latest_checkpoint t with
-    | Some c -> c.Checkpoint.wal_pos
-    | None -> 0
-  in
+  let from = match t.latest with Some (_, pos) -> pos | None -> 0 in
   Wal.records_from t.wal from

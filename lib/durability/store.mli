@@ -8,9 +8,12 @@
     records — record-count triggered, not timer triggered, so an idle
     warehouse schedules no events and fault-free engines still drain.
 
-    Checkpoints are held encoded; {!latest_checkpoint} decodes a fresh
-    copy, so recovered state never aliases the live structures it was
-    captured from. *)
+    Checkpoints are encoded as soon as they are captured (the captured
+    record aliases the live view, see {!Repro_warehouse.Node.checkpoint}),
+    into one buffer reused across checkpoints. The store holds the
+    latest bytes beside the WAL position they cover, so {!tail} needs no
+    decode; {!latest_checkpoint} decodes a fresh copy, so recovered state
+    never aliases the live structures it was captured from. *)
 
 type t
 

@@ -34,11 +34,15 @@ type current = {
   mutable span : Tracer.id;
 }
 
-type t = { ctx : Algorithm.ctx; mutable current : current option }
+type t = {
+  ctx : Algorithm.ctx;
+  keys : Keys.index;
+  mutable current : current option;
+}
 
 let create ctx =
   Keys.require_keys ~algorithm:"C-strobe" ctx.Algorithm.view;
-  { ctx; current = None }
+  { ctx; keys = Keys.index ctx.view; current = None }
 
 let trace t fmt =
   Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
@@ -157,9 +161,10 @@ and complete t cur job =
 
 and finalize t cur =
   let view = t.ctx.view in
-  let contents = t.ctx.view_contents () in
-  let working = Bag.copy contents in
-  Bag.merge_into ~into:working cur.delete_view_delta;
+  let o =
+    Keys.overlay t.keys ~contents:(t.ctx.view_contents ())
+      ~base:cur.delete_view_delta ()
+  in
   (match cur.answer with
   | None -> ()
   | Some a ->
@@ -186,12 +191,8 @@ and finalize t cur =
       in
       (* Duplicate suppression: the keys make any already-present tuple a
          duplicate derivation. *)
-      Delta.iter
-        (fun tup c -> if c > 0 && not (Bag.mem working tup) then
-            Bag.add working tup 1)
-        view_delta);
-  let delta = Bag.copy working in
-  Bag.diff_into ~into:delta contents;
+      Delta.iter (fun tup c -> if c > 0 then Keys.insert_once o tup) view_delta);
+  let delta = Keys.commit o in
   let entry = cur.entry in
   t.current <- None;
   t.ctx.install delta ~txns:[ entry ];
@@ -212,15 +213,17 @@ and start_next t =
           let inserts = Delta.positive_part delta in
           (* Deletes are applied locally by key (C-strobe's optimization):
              build the view-level deletion now, against the current
-             contents. *)
-          let delete_view_delta = Delta.empty () in
+             contents. It is installed by [finalize], so the overlay is
+             not committed here. *)
+          let deletion =
+            Keys.overlay t.keys ~contents:(t.ctx.view_contents ()) ()
+          in
           Delta.iter
             (fun tup _ ->
-              let key = Keys.source_tuple_key view i tup in
-              Bag.merge_into ~into:delete_view_delta
-                (Keys.view_deletion view ~contents:(t.ctx.view_contents ())
-                   ~source:i ~key))
+              Keys.delete_key deletion ~source:i
+                ~key:(Keys.source_tuple_key view i tup))
             deletes;
+          let delete_view_delta = Keys.delta deletion in
           let span =
             if Obs.active t.ctx.obs then
               Obs.span t.ctx.obs "c-strobe.txn"
@@ -355,4 +358,5 @@ let snapshot t = Snap.option snap_of_current t.current
 
 let restore ctx s =
   Keys.require_keys ~algorithm:"C-strobe" ctx.Algorithm.view;
-  { ctx; current = Snap.to_option current_of_snap s }
+  { ctx; keys = Keys.index ctx.Algorithm.view;
+    current = Snap.to_option current_of_snap s }

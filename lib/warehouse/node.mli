@@ -98,7 +98,13 @@ val end_replay : t -> unit
 
 (** Freeze the node's recoverable state. [wal_pos] is the WAL length at
     capture; [recv_expected] / [senders] are the transport endpoints'
-    frozen states (supplied by the wiring layer, which owns the links). *)
+    frozen states (supplied by the wiring layer, which owns the links).
+
+    The record aliases the live view and, on a node with a store, the
+    view's canonical order (refreshed here from the tuples installed
+    since the previous capture, see {!Checkpoint.Order}). It is valid
+    only until the next delivery: encode it at once, as
+    {!Repro_durability.Store} does. *)
 val checkpoint :
   t ->
   wal_pos:int ->

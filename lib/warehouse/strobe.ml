@@ -26,6 +26,7 @@ type query = {
 
 type t = {
   ctx : Algorithm.ctx;
+  keys : Keys.index;
   (* unanswered query set, newest first (appends are hot; membership and
      removal never depend on order) *)
   mutable rev_uqs : query list;
@@ -37,7 +38,8 @@ type t = {
 
 let create ctx =
   Keys.require_keys ~algorithm:"Strobe" ctx.Algorithm.view;
-  { ctx; rev_uqs = []; rev_al = []; rev_batch = [] }
+  { ctx; keys = Keys.index ctx.view; rev_uqs = []; rev_al = [];
+    rev_batch = [] }
 
 let trace t fmt =
   Trace.emit t.ctx.Algorithm.trace ~time:(Engine.now t.ctx.engine)
@@ -45,18 +47,16 @@ let trace t fmt =
 
 (* Apply AL to the materialized view atomically: key deletes remove every
    matching view tuple; inserts are added with duplicate suppression (the
-   view's keys make any duplicate an already-derived tuple). *)
+   view's keys make any duplicate an already-derived tuple). The overlay
+   builds the net change as one delta, so the work follows AL, not the
+   view. *)
 let flush t =
   if t.rev_al <> [] || t.rev_batch <> [] then begin
-    let working = Bag.copy (t.ctx.view_contents ()) in
+    let o = Keys.overlay t.keys ~contents:(t.ctx.view_contents ()) () in
     List.iter
       (fun action ->
         match action with
-        | Del { source; key } ->
-            let d =
-              Keys.view_deletion t.ctx.view ~contents:working ~source ~key
-            in
-            Bag.merge_into ~into:working d
+        | Del { source; key } -> Keys.delete_key o ~source ~key
         | Ins { full } ->
             let view_delta =
               Algebra.select_project t.ctx.view
@@ -65,14 +65,11 @@ let flush t =
                   data = full }
             in
             Delta.iter
-              (fun tup c ->
-                if c > 0 && not (Bag.mem working tup) then
-                  Bag.add working tup 1)
+              (fun tup c -> if c > 0 then Keys.insert_once o tup)
               view_delta)
       (List.rev t.rev_al);
     (* Install the net difference as one state transition. *)
-    let delta = Bag.copy working in
-    Bag.diff_into ~into:delta (t.ctx.view_contents ());
+    let delta = Keys.commit o in
     let txns = List.rev t.rev_batch in
     t.rev_al <- [];
     t.rev_batch <- [];
@@ -252,7 +249,8 @@ let restore ctx s =
   match Snap.to_list s with
   | [ uqs; rev_al; batch ] ->
       Keys.require_keys ~algorithm:"Strobe" ctx.Algorithm.view;
-      { ctx; rev_uqs = List.rev_map query_of_snap (Snap.to_list uqs);
+      { ctx; keys = Keys.index ctx.Algorithm.view;
+        rev_uqs = List.rev_map query_of_snap (Snap.to_list uqs);
         rev_al = List.map action_of_snap (Snap.to_list rev_al);
         rev_batch =
           List.rev_map Algorithm.entry_of_snap (Snap.to_list batch) }

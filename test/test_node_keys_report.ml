@@ -37,15 +37,48 @@ let test_kill_full () =
   Alcotest.(check int) "other survives" 2
     (Delta.count full (Tuple.ints [ 0; 0; 1; 6; 1; 2; 9; 2; 3 ]))
 
-let test_view_deletion () =
-  let contents =
-    Bag.of_list
-      [ (Tuple.ints [ 1; 5; 2; 0; 3 ], 1); (Tuple.ints [ 1; 6; 2; 0; 3 ], 1) ]
-  in
-  let d = Keys.view_deletion view3 ~contents ~source:1 ~key:(Tuple.ints [ 5 ]) in
-  Alcotest.check Rig.delta "only matching key removed"
-    (Delta.of_list [ (Tuple.ints [ 1; 5; 2; 0; 3 ], -1) ])
-    d
+let test_key_overlay () =
+  let a = Tuple.ints [ 1; 5; 2; 0; 3 ] and b = Tuple.ints [ 1; 6; 2; 0; 3 ] in
+  let contents = Bag.of_list [ (a, 1); (b, 1) ] in
+  let idx = Keys.index view3 in
+  let o = Keys.overlay idx ~contents () in
+  Keys.delete_key o ~source:1 ~key:(Tuple.ints [ 5 ]);
+  Alcotest.check Rig.delta "only the matching view tuple removed"
+    (Delta.of_list [ (a, -1) ])
+    (Keys.delta o);
+  (* a tuple inserted by the overlay is found by a later key-delete, and
+     a re-insert of a deleted view tuple counts against view + delta *)
+  let c = Tuple.ints [ 1; 7; 2; 0; 3 ] in
+  Keys.insert_once o c;
+  Keys.insert_once o c;
+  Keys.insert_once o b;
+  Keys.insert_once o a;
+  Alcotest.check Rig.delta "duplicates suppressed against view + delta"
+    (Delta.of_list [ (c, 1) ])
+    (Keys.delta o);
+  Keys.delete_key o ~source:1 ~key:(Tuple.ints [ 7 ]);
+  Keys.delete_key o ~source:0 ~key:(Tuple.ints [ 1 ]);
+  Keys.delete_key o ~source:2 ~key:(Tuple.ints [ 9 ]);
+  let d = Keys.commit o in
+  Alcotest.check Rig.delta "one key-delete of source 0 empties the view"
+    (Delta.of_list [ (a, -1); (b, -1) ])
+    d;
+  (* commit advanced the indexes: later overlays see the installed view *)
+  Bag.merge_into ~into:contents d;
+  let o = Keys.overlay idx ~contents () in
+  Keys.insert_once o c;
+  Bag.merge_into ~into:contents (Keys.commit o);
+  let o = Keys.overlay idx ~contents () in
+  Keys.delete_key o ~source:0 ~key:(Tuple.ints [ 1 ]);
+  Alcotest.check Rig.delta "a committed insert is in the index"
+    (Delta.of_list [ (c, -1) ])
+    (Keys.delta o);
+  (* a base delta's inserts are key-deletable like the overlay's own *)
+  let e = Tuple.ints [ 4; 8; 2; 0; 3 ] in
+  let o = Keys.overlay idx ~contents ~base:(Delta.insertion e) () in
+  Keys.delete_key o ~source:1 ~key:(Tuple.ints [ 8 ]);
+  Alcotest.(check bool) "base insert deleted" true
+    (Delta.is_empty (Keys.delta o))
 
 let test_require_keys () =
   Alcotest.(check bool) "chain view passes" true
@@ -210,7 +243,7 @@ let test_scenario_presets () =
 let suite =
   [ Alcotest.test_case "key extraction" `Quick test_key_extraction;
     Alcotest.test_case "kill_full" `Quick test_kill_full;
-    Alcotest.test_case "view_deletion" `Quick test_view_deletion;
+    Alcotest.test_case "key-delete overlay" `Quick test_key_overlay;
     Alcotest.test_case "require_keys" `Quick test_require_keys;
     Alcotest.test_case "node accounting" `Quick test_node_accounting;
     Alcotest.test_case "install listener stream" `Quick

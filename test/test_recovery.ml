@@ -134,7 +134,7 @@ let test_checkpoint_roundtrip () =
       global = None }
   in
   let c =
-    { Checkpoint.taken_at = 12.5; wal_pos = 9; view;
+    { Checkpoint.taken_at = 12.5; wal_pos = 9; view; view_order = None;
       queue = [ { Checkpoint.update = u; arrival = 4; arrived_at = 1.75 } ];
       queue_next_arrival = 5; next_qid = 17;
       algo = Snap.List [ Snap.Int 1; Snap.Str "x" ];
@@ -158,8 +158,8 @@ let test_checkpoint_roundtrip () =
     (List.length c'.Checkpoint.senders.(1).Checkpoint.window)
 
 let dummy_capture () =
-  { Checkpoint.taken_at = 0.; wal_pos = 0; view = Bag.create (); queue = [];
-    queue_next_arrival = 0; next_qid = 0; algo = Snap.Unit;
+  { Checkpoint.taken_at = 0.; wal_pos = 0; view = Bag.create ();
+    view_order = None; queue = []; queue_next_arrival = 0; next_qid = 0; algo = Snap.Unit;
     recv_expected = [||]; senders = [||]; breaker = Snap.Unit;
     aux = Snap.Unit }
 
@@ -190,7 +190,207 @@ let test_store_checkpoint_cadence () =
   done;
   Alcotest.(check int) "0 disables checkpoints" 0 (Store.checkpoints off);
   Alcotest.(check int) "recovery would replay the whole log" 10
-    (List.length (Store.tail off))
+    (List.length (Store.tail off));
+  (* The store keeps the latest checkpoint's WAL position beside its
+     bytes: the tail after two checkpoints starts at the second one's
+     [wal_pos], which need not be the WAL length at capture. *)
+  let s = Store.create ~checkpoint_every:0 () in
+  let records =
+    List.init 7 (fun i ->
+        Wal.Installed
+          { delta = Delta.insertion (Tuple.ints [ i ]);
+            txns = [ { Message.source = 0; seq = i } ] })
+  in
+  Store.set_capture s (fun () -> { (dummy_capture ()) with wal_pos = !wal_pos });
+  List.iteri
+    (fun i r ->
+      Store.log s r;
+      if i = 2 || i = 5 then begin
+        wal_pos := i;
+        Store.checkpoint_now s
+      end)
+    records;
+  Alcotest.(check (list string)) "tail starts at the second wal_pos"
+    (List.map Wal.encode_record (List.filteri (fun i _ -> i >= 5) records))
+    (List.map Wal.encode_record (Store.tail s))
+
+(* ————— canonical checkpoint order ————— *)
+
+(* Installs every delivered update's delta, unchanged, as a view delta:
+   the smallest algorithm that drives the node's install path. *)
+module Direct : Algorithm.S = struct
+  type t = Algorithm.ctx
+
+  let name = "direct"
+  let create ctx = ctx
+
+  let on_update (ctx : Algorithm.ctx) _ =
+    match Update_queue.pop ctx.queue with
+    | Some e -> ctx.install e.Update_queue.update.Message.delta ~txns:[ e ]
+    | None -> ()
+
+  let on_answer _ _ = ()
+  let on_source_down _ _ = ()
+  let on_source_up _ _ = ()
+  let idle (ctx : Algorithm.ctx) = Update_queue.is_empty ctx.queue
+  let snapshot _ = Snap.Unit
+  let restore ctx _ = ctx
+end
+
+(* A node running [Direct] with a store that checkpoints only when told
+   to. [node] changes at every recovery. *)
+(* lint: allow L5 test harness around the node, not algorithm state: Direct's snapshot is Unit *)
+type direct = { store : Store.t; mutable node : Node.t; mutable seq : int }
+
+let direct_node ?(capture_check = fun (_ : Checkpoint.t) -> ()) init =
+  let store = Store.create ~checkpoint_every:0 () in
+  let node =
+    Node.create (Engine.create ~seed:1L ()) ~view:(Chain.view ~n:2 ())
+      ~algorithm:(module Direct) ~send:(fun _ _ -> ())
+      ~init:(Relation.of_tuples init) ~durability:store ~record_history:false
+      ()
+  in
+  let d = { store; node; seq = 0 } in
+  Store.set_capture store (fun () ->
+      let c =
+        Node.checkpoint d.node ~wal_pos:(Store.wal_length store)
+          ~recv_expected:[||] ~senders:[||]
+      in
+      capture_check c;
+      c);
+  d
+
+let deliver d delta =
+  Node.deliver d.node
+    (Message.Update_notice
+       { Message.txn = { Message.source = 0; seq = d.seq }; delta;
+         occurred_at = 0.; global = None });
+  d.seq <- d.seq + 1
+
+let recover_direct d ~from_checkpoint =
+  let checkpoint =
+    if from_checkpoint then Store.latest_checkpoint d.store else None
+  in
+  let node = Node.recover ~prev:d.node ?checkpoint () in
+  Node.begin_replay node;
+  List.iter (Node.replay_record node) (Store.tail d.store);
+  Node.end_replay node;
+  d.node <- node
+
+(* One to four entries over an 8x8 domain: inserts of new and of deleted
+   tuples, deletes to zero and by one. *)
+let random_delta rng model =
+  let d = Delta.empty () in
+  for _ = 0 to Rng.int rng 4 do
+    let present = Bag.to_sorted_list model in
+    let tup, n =
+      match Rng.int rng 3 with
+      | (0 | 1) when present <> [] ->
+          let tup, c = List.nth present (Rng.int rng (List.length present)) in
+          (tup, if Rng.bool rng 0.7 then -c else -1)
+      | _ -> (Tuple.ints [ Rng.int rng 8; Rng.int rng 8 ], 1 + Rng.int rng 2)
+    in
+    if Delta.count d tup = 0 then Delta.add d tup n
+  done;
+  d
+
+let recover_seeds = Rig.seeds_env ~var:"RECOVER_SEEDS" ~default:5
+
+(* Every capture of a node with a store writes its view from the order
+   kept across captures; the bytes must equal the reference path's,
+   which sorts the whole view through Codec.put_bag. Random installs
+   between captures, bursts past the splice threshold, and recovery from
+   genesis and from checkpoints (which restart the order) all in one
+   run per seed. *)
+let test_checkpoint_order_differential () =
+  Rig.for_seeds recover_seeds @@ fun seed ->
+    let rng = Rng.create (Int64.of_int (7919 * seed)) in
+    let captures = ref 0 in
+    let capture_check (c : Checkpoint.t) =
+      incr captures;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d capture %d keeps an order" seed !captures)
+        true (Option.is_some c.view_order);
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d capture %d: order bytes = put_bag bytes" seed
+           !captures)
+        (Checkpoint.encode { c with view_order = None })
+        (Checkpoint.encode c)
+    in
+    let init =
+      List.sort_uniq Tuple.compare
+        (List.init 30 (fun _ -> Tuple.ints [ Rng.int rng 8; Rng.int rng 8 ]))
+    in
+    let model = Bag.of_list (List.map (fun t -> (t, 1)) init) in
+    let d = direct_node ~capture_check init in
+    let step () =
+      let delta = random_delta rng model in
+      Bag.merge_into ~into:model delta;
+      deliver d delta
+    in
+    let check_view what =
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: view after %s" seed what)
+        true
+        (Bag.equal model (Node.view_contents d.node))
+    in
+    for _ = 1 to 3 do step () done;
+    recover_direct d ~from_checkpoint:false;
+    check_view "recovery from genesis";
+    for _ = 1 to 80 do
+      match Rng.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 -> step ()
+      | 5 | 6 -> Store.checkpoint_now d.store
+      | 7 -> for _ = 1 to 20 do step () done
+      | _ ->
+          recover_direct d ~from_checkpoint:(Store.checkpoints d.store > 0);
+          check_view "recovery"
+    done;
+    Store.checkpoint_now d.store;
+    check_view "the run";
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: captures taken" seed)
+      true (!captures > 5)
+
+(* Words allocated since the last call to [start_counting]. A collection
+   inside the window may count promoted words as major allocations
+   before it counts them as promoted, so the window starts on an empty
+   minor heap with no major work pending. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let start_counting () =
+  Gc.full_major ();
+  allocated_words ()
+
+(* At |V| = 5,000, one checkpoint after a two-tuple install allocates at
+   most twice the words of the string it encodes: no view copy, no full
+   sort, no regrown buffer. *)
+let test_checkpoint_allocation () =
+  let n = 5000 in
+  let d =
+    direct_node (List.init n (fun i -> Tuple.ints [ i; i mod 7; i mod 11 ]))
+  in
+  deliver d (Delta.insertion (Tuple.ints [ n; 0; 0 ]));
+  Store.checkpoint_now d.store;
+  let delta = Delta.insertion (Tuple.ints [ n + 1; 0; 0 ]) in
+  Delta.add delta (Tuple.ints [ 17; 3; 6 ]) (-1);
+  deliver d delta;
+  let bytes = Store.checkpoint_bytes d.store in
+  let before = start_counting () in
+  Store.checkpoint_now d.store;
+  let after = allocated_words () in
+  let string_words =
+    float_of_int (Store.checkpoint_bytes d.store - bytes) /. 8.
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "one checkpoint at |V| = %d allocates %.0f words, within 2x of its \
+        %.0f-word encoding"
+       n (after -. before) string_words)
+    true
+    (after -. before <= 2. *. string_words)
 
 (* ————— backpressure + bounded queue units ————— *)
 
@@ -551,6 +751,10 @@ let suite =
       test_checkpoint_roundtrip;
     Alcotest.test_case "store: checkpoint cadence and tail" `Quick
       test_store_checkpoint_cadence;
+    Alcotest.test_case "checkpoint: incremental order = put_bag bytes" `Quick
+      test_checkpoint_order_differential;
+    Alcotest.test_case "checkpoint: allocation within 2x of its bytes" `Quick
+      test_checkpoint_allocation;
     Alcotest.test_case "queue: capacity enforced" `Quick
       test_update_queue_capacity;
     Alcotest.test_case "backpressure: per-source FIFO, shed, release" `Quick
