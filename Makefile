@@ -33,11 +33,12 @@ faults:
 	dune exec test/test_main.exe -- test faults
 
 # Warehouse crash-recovery suite only (WAL + checkpoint + restart),
-# with the checkpoint-order differential at full depth: 100 seeds of
+# with the checkpoint image differential at full depth: 100 seeds of
 # random installs, captures and recoveries (from genesis and from
-# checkpoints) on a node with a store, each capture's bytes equal to
-# the reference Codec.put_bag encoding of the same state. `dune
-# runtest` runs the same suite at 5 seeds.
+# checkpoints with zero, a few and many installs since the view image)
+# on a node with a store, each recovered view (image + WAL fold) equal
+# to the model and every other field equal to the live capture's.
+# `dune runtest` runs the same suite at 5 seeds.
 recover:
 	RECOVER_SEEDS=100 dune exec test/test_main.exe -- test recovery
 

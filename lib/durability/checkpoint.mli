@@ -19,15 +19,11 @@
     - the WAL position [wal_pos] the checkpoint covers: recovery replays
       only records [wal_pos..].
 
-    Checkpoints round-trip through {!encode}/{!decode} every time one is
-    taken, so serializability is exercised on every run that crashes.
-
-    The view is written in its canonical [Tuple.compare] order. A node
-    with a store keeps that order incrementally in an {!Order.t}: each
-    capture sorts only the tuples installs touched since the previous
-    one and splices them in, instead of sorting the whole view. The
-    bytes are identical to {!Codec.put_bag}'s, which sorts from
-    scratch. *)
+    {!encode} writes everything {e but} the view: the small state whose
+    size tracks the in-flight work, not |V|. {!Store} writes the view
+    separately, as an occasional image, and rebuilds it on recovery
+    from that image plus the WAL's install deltas; {!decode} takes the
+    rebuilt view back. *)
 
 open Repro_relational
 
@@ -45,32 +41,10 @@ type queued = {
   arrived_at : float;
 }
 
-(** The canonical order of a bag (its view), maintained across captures. *)
-module Order : sig
-  type t
-
-  (** No order yet: the first {!refresh} sorts the whole bag. *)
-  val create : unit -> t
-
-  (** [touch o delta] notes the tuples an install of [delta] changes.
-      Every change to the bag between two refreshes must be touched. *)
-  val touch : t -> Delta.t -> unit
-
-  (** [refresh o bag] brings the order up to date with [bag]: it sorts
-      only the touched tuples and splices them in by binary search
-      (the whole bag only on the first call, or after more touches than
-      the bag has tuples). *)
-  val refresh : t -> Bag.t -> unit
-end
-
 type t = {
   taken_at : float;  (** sim time the checkpoint was taken *)
   wal_pos : int;  (** WAL records covered by this checkpoint *)
-  view : Bag.t;
-  view_order : Order.t option;
-      (** [view]'s canonical order, refreshed at capture: {!put} writes
-          the view from it. [None] (as {!decode} returns) sorts [view]
-          through {!Codec.put_bag}; the bytes are the same. *)
+  view : Bag.t;  (** not written by {!put}/{!encode} *)
   queue : queued list;
   queue_next_arrival : int;
   next_qid : int;
@@ -85,7 +59,11 @@ type t = {
           run has no aux store) *)
 }
 
+(** [put b c] writes every field of [c] except [view]. *)
 val put : Buffer.t -> t -> unit
-val get : Codec.reader -> t
+
 val encode : t -> string
-val decode : string -> t
+
+(** [decode ~view s] reads {!encode}'s bytes back, with [view] as the
+    view. *)
+val decode : view:Bag.t -> string -> t

@@ -125,16 +125,11 @@ let get_tuple r : Tuple.t =
 
 (* Bags (and Delta/Relation, which share the representation) serialize as
    their canonical sorted (tuple, count) listing, so equal bags have equal
-   bytes — checkpoints of the same state are bit-identical. [put_bag]
-   sorts the whole bag; the checkpointed view instead keeps that order
-   incrementally ({!Checkpoint.Order}) and writes it with [put_entry],
-   producing the same bytes. *)
+   bytes — checkpoints of the same state are bit-identical. *)
 
-let put_entry b t c =
+let put_counted b (t, c) =
   put_tuple b t;
   put_int b c
-
-let put_counted b (t, c) = put_entry b t c
 
 let get_counted r =
   let t = get_tuple r in

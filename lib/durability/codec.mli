@@ -6,10 +6,7 @@
     representation) serialize as their canonical sorted
     [(tuple, count)] listing, so equal values always produce equal bytes
     — two checkpoints of the same warehouse state are bit-identical,
-    which the recovery tests rely on. {!put_bag} sorts the whole bag on
-    every call; the checkpointed view keeps its canonical order
-    incrementally instead ({!Checkpoint.Order}) and writes the same bytes
-    through {!put_entry}.
+    which the recovery tests rely on.
 
     Encoders append to a [Buffer.t]; decoders consume a {!reader}.
     Decoding malformed bytes raises {!Corrupt}, never
@@ -54,12 +51,6 @@ val get_value : reader -> Value.t
 val put_tuple : Buffer.t -> Tuple.t -> unit
 val get_tuple : reader -> Tuple.t
 val put_bag : Buffer.t -> Bag.t -> unit
-
-(** [put_entry b tup c] writes one [(tuple, count)] element of a bag
-    listing. A length written with {!put_int} followed by every entry in
-    [Tuple.compare] order is byte-identical to {!put_bag} of that bag. *)
-val put_entry : Buffer.t -> Tuple.t -> int -> unit
-
 val get_bag : reader -> Bag.t
 val put_delta : Buffer.t -> Delta.t -> unit
 val get_delta : reader -> Delta.t

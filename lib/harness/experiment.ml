@@ -396,8 +396,7 @@ let run ?(check = true) ?(trace = Trace.create ()) ?(obs = Obs.disabled ())
       let recover () =
         let t0 = wall_clock () in
         wh_down := false;
-        let checkpoint = Store.latest_checkpoint store in
-        let tail = Store.tail store in
+        let checkpoint, tail = Store.recovery store in
         (* Receivers restart at [checkpointed expected + records replayed
            on that link]: everything the old incarnation delivered (and
            acked) is on the WAL; held out-of-order frames were never

@@ -25,9 +25,6 @@ type t = {
   trace : Trace.t;
   obs : Obs.t;
   store : Store.t option;
-  (* with a store: the view's canonical order for checkpoints, advanced
-     by every install *)
-  order : Checkpoint.Order.t option;
   breaker : Breaker.t option;
   aux : Aux_store.t;
   stall_cap : int;
@@ -78,9 +75,6 @@ let wire t =
       txns
   in
   let install delta ~txns =
-    (match t.order with
-    | Some o -> Checkpoint.Order.touch o delta
-    | None -> ());
     if t.replaying then begin
       Bag.merge_into ~into:t.data delta;
       apply_aux txns;
@@ -174,7 +168,6 @@ let create engine ~view ~algorithm ~send ~init ?durability ?metrics
     { engine; view; algorithm; send; data; initial = Bag.copy data; metrics;
       queue = Update_queue.create ?capacity:queue_capacity ();
       record_history; trace; obs; store = durability;
-      order = Option.map (fun _ -> Checkpoint.Order.create ()) durability;
       breaker; aux; stall_cap;
       next_qid = 0; replaying = false; replay_installs = Queue.create ();
       algo = None; rev_installs = []; rev_deliveries = []; rev_listeners = [];
@@ -216,7 +209,6 @@ let recover ~prev ?checkpoint () =
   in
   let t =
     { prev with data; queue; next_qid; replaying = false;
-      order = Option.map (fun _ -> Checkpoint.Order.create ()) prev.order;
       replay_installs = Queue.create (); algo = None }
   in
   (t.algo <-
@@ -341,9 +333,7 @@ let end_replay t =
 (* The record aliases the live view (no copy): the store encodes it
    before the next delivery can change it. *)
 let checkpoint t ~wal_pos ~recv_expected ~senders : Checkpoint.t =
-  Option.iter (fun o -> Checkpoint.Order.refresh o t.data) t.order;
   { taken_at = Engine.now t.engine; wal_pos; view = t.data;
-    view_order = t.order;
     queue =
       List.map
         (fun (e : Update_queue.entry) ->
@@ -373,6 +363,7 @@ let view_contents t = t.data
 let obs t = t.obs
 let metrics t = t.metrics
 let queue t = t.queue
+let store t = t.store
 let breaker t = t.breaker
 let aux t = t.aux
 

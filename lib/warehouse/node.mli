@@ -100,9 +100,7 @@ val end_replay : t -> unit
     capture; [recv_expected] / [senders] are the transport endpoints'
     frozen states (supplied by the wiring layer, which owns the links).
 
-    The record aliases the live view and, on a node with a store, the
-    view's canonical order (refreshed here from the tuples installed
-    since the previous capture, see {!Checkpoint.Order}). It is valid
+    The record aliases the live view (no copy, no sort). It is valid
     only until the next delivery: encode it at once, as
     {!Repro_durability.Store} does. *)
 val checkpoint :
@@ -140,6 +138,9 @@ val metrics : t -> Metrics.t
 val obs : t -> Repro_observability.Obs.t
 
 val queue : t -> Update_queue.t
+
+(** The store passed at {!create} as [durability], if any. *)
+val store : t -> Store.t option
 
 (** The breaker passed at {!create}, if any. *)
 val breaker : t -> Breaker.t option

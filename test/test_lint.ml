@@ -411,6 +411,7 @@ let test_incremental_plan () =
 (* ————— checkpoint determinism (the invariant behind L2) ————— *)
 
 module Checkpoint = Repro_durability.Checkpoint
+module Store = Repro_durability.Store
 
 let view = Chain.view ~n:3 ()
 
@@ -430,6 +431,20 @@ let checkpoint_bytes algorithm =
     (Node.checkpoint outcome.Rig.node ~wal_pos:0 ~recv_expected:[| 0; 0; 0 |]
        ~senders:[||])
 
+(* What a durable run's store actually holds at its end: the latest view
+   image and checkpoint state, as written. The run crashes and recovers
+   the warehouse once. *)
+let stored_bytes algorithm =
+  let node = ref None in
+  ignore
+    (Repro_harness.Experiment.run ~check:false
+       ~on_node:(fun n -> node := Some n)
+       (Test_recovery.crashy_scenario 3L)
+       algorithm);
+  match Option.bind (Option.bind !node Node.store) Store.durable_bytes with
+  | Some bytes -> bytes
+  | None -> Alcotest.fail "the durable run took no checkpoint"
+
 let test_checkpoints_byte_identical () =
   List.iter
     (fun (name, algorithm) ->
@@ -443,7 +458,15 @@ let test_checkpoints_byte_identical () =
       Alcotest.(check string)
         (name ^ ": re-encoding a decoded checkpoint is stable")
         a
-        (Checkpoint.encode (Checkpoint.decode a)))
+        (Checkpoint.encode (Checkpoint.decode ~view:(Bag.create ()) a));
+      let image, state = stored_bytes algorithm in
+      let image', state' = stored_bytes algorithm in
+      Alcotest.(check bool)
+        (name ^ ": identical durable runs store identical view images")
+        true (String.equal image image');
+      Alcotest.(check bool)
+        (name ^ ": identical durable runs store identical checkpoint states")
+        true (String.equal state state'))
     [ ("sweep", (module Sweep : Algorithm.S));
       ("sweep-global", (module Sweep_global : Algorithm.S));
       ("sweep-batched", (module Sweep_batched : Algorithm.S));

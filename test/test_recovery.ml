@@ -134,7 +134,7 @@ let test_checkpoint_roundtrip () =
       global = None }
   in
   let c =
-    { Checkpoint.taken_at = 12.5; wal_pos = 9; view; view_order = None;
+    { Checkpoint.taken_at = 12.5; wal_pos = 9; view;
       queue = [ { Checkpoint.update = u; arrival = 4; arrived_at = 1.75 } ];
       queue_next_arrival = 5; next_qid = 17;
       algo = Snap.List [ Snap.Int 1; Snap.Str "x" ];
@@ -147,10 +147,14 @@ let test_checkpoint_roundtrip () =
       breaker = Snap.List [ Snap.Int 0; Snap.Int 2 ];
       aux = Snap.List [ Snap.Delta (Delta.insertion (Tuple.ints [ 7 ])) ] }
   in
-  let c' = Checkpoint.decode (Checkpoint.encode c) in
+  let c' = Checkpoint.decode ~view (Checkpoint.encode c) in
   Alcotest.(check string) "checkpoint bytes stable"
     (Checkpoint.encode c) (Checkpoint.encode c');
-  Alcotest.(check bool) "view preserved" true (Bag.equal c.Checkpoint.view c'.Checkpoint.view);
+  Alcotest.(check string) "the view is not in the checkpoint's bytes"
+    (Checkpoint.encode c)
+    (Checkpoint.encode { c with view = Bag.create () });
+  Alcotest.(check bool) "decode takes the view it is given" true
+    (c'.Checkpoint.view == view);
   Alcotest.(check int) "wal_pos" 9 c'.Checkpoint.wal_pos;
   Alcotest.(check int) "queue length" 1 (List.length c'.Checkpoint.queue);
   Alcotest.(check int) "sender next_seq" 5 c'.Checkpoint.senders.(1).Checkpoint.next_seq;
@@ -159,7 +163,7 @@ let test_checkpoint_roundtrip () =
 
 let dummy_capture () =
   { Checkpoint.taken_at = 0.; wal_pos = 0; view = Bag.create ();
-    view_order = None; queue = []; queue_next_arrival = 0; next_qid = 0; algo = Snap.Unit;
+    queue = []; queue_next_arrival = 0; next_qid = 0; algo = Snap.Unit;
     recv_expected = [||]; senders = [||]; breaker = Snap.Unit;
     aux = Snap.Unit }
 
@@ -177,11 +181,12 @@ let test_store_checkpoint_cadence () =
   done;
   Alcotest.(check int) "10 records" 10 (Store.wal_length s);
   Alcotest.(check int) "checkpoints every 3 records" 3 (Store.checkpoints s);
-  (match Store.latest_checkpoint s with
-  | Some c -> Alcotest.(check int) "latest covers 9 records" 9 c.Checkpoint.wal_pos
-  | None -> Alcotest.fail "no checkpoint");
-  Alcotest.(check int) "tail after latest checkpoint" 1
-    (List.length (Store.tail s));
+  (match Store.recovery s with
+  | Some c, tail ->
+      Alcotest.(check int) "latest covers 9 records" 9 c.Checkpoint.wal_pos;
+      Alcotest.(check int) "tail after latest checkpoint" 1
+        (List.length tail)
+  | None, _ -> Alcotest.fail "no checkpoint");
   let off = Store.create ~checkpoint_every:0 () in
   Store.set_capture off dummy_capture;
   for _ = 1 to 10 do
@@ -190,10 +195,12 @@ let test_store_checkpoint_cadence () =
   done;
   Alcotest.(check int) "0 disables checkpoints" 0 (Store.checkpoints off);
   Alcotest.(check int) "recovery would replay the whole log" 10
-    (List.length (Store.tail off));
+    (List.length (snd (Store.recovery off)));
   (* The store keeps the latest checkpoint's WAL position beside its
      bytes: the tail after two checkpoints starts at the second one's
-     [wal_pos], which need not be the WAL length at capture. *)
+     [wal_pos], which need not be the WAL length at capture, and the
+     installs between the image (the first checkpoint) and it are folded
+     into the view. *)
   let s = Store.create ~checkpoint_every:0 () in
   let records =
     List.init 7 (fun i ->
@@ -210,11 +217,15 @@ let test_store_checkpoint_cadence () =
         Store.checkpoint_now s
       end)
     records;
+  let c, tail = Store.recovery s in
   Alcotest.(check (list string)) "tail starts at the second wal_pos"
     (List.map Wal.encode_record (List.filteri (fun i _ -> i >= 5) records))
-    (List.map Wal.encode_record (Store.tail s))
+    (List.map Wal.encode_record tail);
+  Alcotest.check Rig.bag "view = image + installs [2, 5)"
+    (Bag.of_list (List.init 3 (fun i -> (Tuple.ints [ i + 2 ], 1))))
+    (Option.get c).Checkpoint.view
 
-(* ————— canonical checkpoint order ————— *)
+(* ————— image + WAL-fold checkpoints ————— *)
 
 (* Installs every delivered update's delta, unchanged, as a view delta:
    the smallest algorithm that drives the node's install path. *)
@@ -267,28 +278,30 @@ let deliver d delta =
          occurred_at = 0.; global = None });
   d.seq <- d.seq + 1
 
-let recover_direct d ~from_checkpoint =
-  let checkpoint =
-    if from_checkpoint then Store.latest_checkpoint d.store else None
-  in
+(* Restart [d]'s node from [Store.recovery] (or from genesis when no
+   checkpoint was taken) plus the WAL tail; the recovered checkpoint is
+   returned for inspection. *)
+let recover_direct d =
+  let checkpoint, tail = Store.recovery d.store in
   let node = Node.recover ~prev:d.node ?checkpoint () in
   Node.begin_replay node;
-  List.iter (Node.replay_record node) (Store.tail d.store);
+  List.iter (Node.replay_record node) tail;
   Node.end_replay node;
-  d.node <- node
+  d.node <- node;
+  checkpoint
 
-(* One to four entries over an 8x8 domain: inserts of new and of deleted
-   tuples, deletes to zero and by one. *)
+(* One to four entries over a 16x16 domain: inserts of new and of
+   deleted tuples, deletes to zero and by one. *)
 let random_delta rng model =
   let d = Delta.empty () in
+  let present = Array.of_list (Bag.to_sorted_list model) in
   for _ = 0 to Rng.int rng 4 do
-    let present = Bag.to_sorted_list model in
     let tup, n =
       match Rng.int rng 3 with
-      | (0 | 1) when present <> [] ->
-          let tup, c = List.nth present (Rng.int rng (List.length present)) in
+      | (0 | 1) when present <> [||] ->
+          let tup, c = present.(Rng.int rng (Array.length present)) in
           (tup, if Rng.bool rng 0.7 then -c else -1)
-      | _ -> (Tuple.ints [ Rng.int rng 8; Rng.int rng 8 ], 1 + Rng.int rng 2)
+      | _ -> (Tuple.ints [ Rng.int rng 16; Rng.int rng 16 ], 1 + Rng.int rng 2)
     in
     if Delta.count d tup = 0 then Delta.add d tup n
   done;
@@ -296,61 +309,106 @@ let random_delta rng model =
 
 let recover_seeds = Rig.seeds_env ~var:"RECOVER_SEEDS" ~default:5
 
-(* Every capture of a node with a store writes its view from the order
-   kept across captures; the bytes must equal the reference path's,
-   which sorts the whole view through Codec.put_bag. Random installs
-   between captures, bursts past the splice threshold, and recovery from
-   genesis and from checkpoints (which restart the order) all in one
-   run per seed. *)
-let test_checkpoint_order_differential () =
+(* Recovery rebuilds the view from the latest image plus the installs
+   the WAL logged after it. Random installs (deletes that drive tuples
+   out included) and bursts past the image rule, between captures and
+   recoveries: from genesis, and from checkpoints with zero, a few and
+   many installs since their image. Every recovered view must equal the
+   model's at capture, every other field must encode as the live
+   capture's, and the store's image must be the model's view at the
+   capture the rule (first capture, or logged install weight reaching
+   max 16 |V|) says wrote it. *)
+let test_checkpoint_image_differential () =
   Rig.for_seeds recover_seeds @@ fun seed ->
+    let ctx fmt = Printf.ksprintf (Printf.sprintf "seed %d: %s" seed) fmt in
     let rng = Rng.create (Int64.of_int (7919 * seed)) in
-    let captures = ref 0 in
-    let capture_check (c : Checkpoint.t) =
-      incr captures;
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d capture %d keeps an order" seed !captures)
-        true (Option.is_some c.view_order);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d capture %d: order bytes = put_bag bytes" seed
-           !captures)
-        (Checkpoint.encode { c with view_order = None })
-        (Checkpoint.encode c)
-    in
     let init =
       List.sort_uniq Tuple.compare
-        (List.init 30 (fun _ -> Tuple.ints [ Rng.int rng 8; Rng.int rng 8 ]))
+        (List.init 200 (fun _ -> Tuple.ints [ Rng.int rng 16; Rng.int rng 16 ]))
     in
     let model = Bag.of_list (List.map (fun t -> (t, 1)) init) in
+    (* the model of the latest capture and of the image rule *)
+    let live_state = ref "" and live_view = ref (Bag.create ()) in
+    let image = ref None and weight_since_image = ref 0 in
+    let installs_since_image = ref 0 and installs_at_capture = ref 0 in
+    let images = ref 0 in
+    let capture_check (c : Checkpoint.t) =
+      Alcotest.check Rig.bag (ctx "capture aliases the view") model c.view;
+      if
+        Option.is_none !image
+        || !weight_since_image >= max 16 (Bag.cardinal model)
+      then begin
+        image := Some (Codec.encode Codec.put_bag model);
+        incr images;
+        weight_since_image := 0;
+        installs_since_image := 0
+      end;
+      installs_at_capture := !installs_since_image;
+      live_state := Checkpoint.encode c;
+      live_view := Bag.copy model
+    in
     let d = direct_node ~capture_check init in
+    let capture () =
+      Store.checkpoint_now d.store;
+      match Store.durable_bytes d.store with
+      | Some (img, _) ->
+          Alcotest.(check string) (ctx "image written by the rule")
+            (Option.get !image) img
+      | None -> Alcotest.fail (ctx "no image after a capture")
+    in
     let step () =
       let delta = random_delta rng model in
       Bag.merge_into ~into:model delta;
+      weight_since_image := !weight_since_image + Delta.weight delta;
+      incr installs_since_image;
       deliver d delta
     in
-    let check_view what =
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: view after %s" seed what)
-        true
-        (Bag.equal model (Node.view_contents d.node))
+    let steps n = for _ = 1 to n do step () done in
+    let genesis = ref 0 and zero = ref 0 and few = ref 0 and many = ref 0 in
+    let recover () =
+      (match recover_direct d with
+      | None -> incr genesis
+      | Some c ->
+          let k = !installs_at_capture in
+          incr (if k = 0 then zero else if k <= 3 then few else many);
+          Alcotest.check Rig.bag
+            (ctx "recovered view (%d installs since the image)" k)
+            !live_view c.view;
+          Alcotest.(check string)
+            (ctx "recovered state = live capture's")
+            !live_state (Checkpoint.encode c));
+      Alcotest.check Rig.bag (ctx "view after replay") model
+        (Node.view_contents d.node)
     in
-    for _ = 1 to 3 do step () done;
-    recover_direct d ~from_checkpoint:false;
-    check_view "recovery from genesis";
-    for _ = 1 to 80 do
+    steps 3;
+    recover ();
+    capture ();
+    recover ();
+    steps 2;
+    capture ();
+    recover ();
+    steps 6;
+    capture ();
+    recover ();
+    steps 60;
+    capture ();
+    recover ();
+    for _ = 1 to 100 do
       match Rng.int rng 10 with
       | 0 | 1 | 2 | 3 | 4 -> step ()
-      | 5 | 6 -> Store.checkpoint_now d.store
-      | 7 -> for _ = 1 to 20 do step () done
-      | _ ->
-          recover_direct d ~from_checkpoint:(Store.checkpoints d.store > 0);
-          check_view "recovery"
+      | 5 | 6 -> capture ()
+      | 7 -> steps 20
+      | _ -> recover ()
     done;
-    Store.checkpoint_now d.store;
-    check_view "the run";
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: captures taken" seed)
-      true (!captures > 5)
+    capture ();
+    recover ();
+    List.iter
+      (fun (what, n) ->
+        Alcotest.(check bool) (ctx "recovered from %s" what) true (!n > 0))
+      [ ("genesis", genesis); ("zero installs since the image", zero);
+        ("a few installs since the image", few);
+        ("many installs since the image", many) ];
+    Alcotest.(check bool) (ctx "the image was rewritten") true (!images > 1)
 
 (* Words allocated since the last call to [start_counting]. A collection
    inside the window may count promoted words as major allocations
@@ -364,11 +422,10 @@ let start_counting () =
   Gc.full_major ();
   allocated_words ()
 
-(* At |V| = 5,000, one checkpoint after a two-tuple install allocates at
-   most twice the words of the string it encodes: no view copy, no full
-   sort, no regrown buffer. *)
-let test_checkpoint_allocation () =
-  let n = 5000 in
+(* The bytes written and the words allocated by one checkpoint taken
+   after a two-tuple install, on a direct node whose view has [n]
+   tuples and was imaged by the checkpoint before. *)
+let checkpoint_after_small_install n =
   let d =
     direct_node (List.init n (fun i -> Tuple.ints [ i; i mod 7; i mod 11 ]))
   in
@@ -381,16 +438,35 @@ let test_checkpoint_allocation () =
   let before = start_counting () in
   Store.checkpoint_now d.store;
   let after = allocated_words () in
-  let string_words =
-    float_of_int (Store.checkpoint_bytes d.store - bytes) /. 8.
-  in
+  (Store.checkpoint_bytes d.store - bytes, after -. before)
+
+(* At |V| = 5,000, one checkpoint after a two-tuple install allocates at
+   most twice the words of the string it encodes: no view copy, no full
+   sort, no regrown buffer. *)
+let test_checkpoint_allocation () =
+  let n = 5000 in
+  let bytes, words = checkpoint_after_small_install n in
+  let string_words = float_of_int bytes /. 8. in
   Alcotest.(check bool)
     (Printf.sprintf
        "one checkpoint at |V| = %d allocates %.0f words, within 2x of its \
         %.0f-word encoding"
-       n (after -. before) string_words)
+       n words string_words)
     true
-    (after -. before <= 2. *. string_words)
+    (words <= 2. *. string_words)
+
+(* The checkpoint after a two-tuple install writes no view: its bytes
+   and its allocation are the same at |V| = 500 and at |V| = 5,000. *)
+let test_checkpoint_scale () =
+  let bytes_s, words_s = checkpoint_after_small_install 500 in
+  let bytes_l, words_l = checkpoint_after_small_install 5000 in
+  Alcotest.(check int) "bytes written at |V| = 5,000 = at |V| = 500" bytes_s
+    bytes_l;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "words allocated at |V| = 5,000 (%.0f) <= at |V| = 500 (%.0f)" words_l
+       words_s)
+    true (words_l <= words_s)
 
 (* ————— backpressure + bounded queue units ————— *)
 
@@ -751,10 +827,12 @@ let suite =
       test_checkpoint_roundtrip;
     Alcotest.test_case "store: checkpoint cadence and tail" `Quick
       test_store_checkpoint_cadence;
-    Alcotest.test_case "checkpoint: incremental order = put_bag bytes" `Quick
-      test_checkpoint_order_differential;
+    Alcotest.test_case "checkpoint: image + WAL fold" `Quick
+      test_checkpoint_image_differential;
     Alcotest.test_case "checkpoint: allocation within 2x of its bytes" `Quick
       test_checkpoint_allocation;
+    Alcotest.test_case "checkpoint: bytes and words independent of |V|" `Quick
+      test_checkpoint_scale;
     Alcotest.test_case "queue: capacity enforced" `Quick
       test_update_queue_capacity;
     Alcotest.test_case "backpressure: per-source FIFO, shed, release" `Quick
